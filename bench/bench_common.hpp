@@ -32,9 +32,6 @@
 //   --no-neighbor-cache  disable the neighbor-row cache riding the grid
 //                   (every reachable query re-walks the grid cells;
 //                   results are bit-identical, only slower)
-//   --legacy-event-queue  run the simulator kernel on the original binary
-//                   heap instead of the calendar queue (bit-identical,
-//                   only slower; the event-engine escape hatch)
 //   --routing-policy greedy|regular  REFER intra-cell routing protocol
 //                   (default greedy, the paper's SIII-C2 shortest
 //                   paths; regular = Faber-Streib all-to-all walks
@@ -131,8 +128,6 @@ inline BenchOptions parse_options(int argc, char** argv) {
       opt.base.spatial_index = false;
     } else if (arg == "--no-neighbor-cache") {
       opt.base.neighbor_cache = false;
-    } else if (arg == "--legacy-event-queue") {
-      opt.base.legacy_event_queue = true;
     } else if (arg == "--routing-policy") {
       const std::string value = string_value(i);
       if (!harness::parse_routing_policy(value, opt.base.routing_policy)) {

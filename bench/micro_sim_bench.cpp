@@ -1,22 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the DES kernel's event engine:
-// the calendar queue vs. the legacy binary heap, and the SBO EventClosure
-// vs. std::function closure storage.
+// the binary-heap event queue and the SBO EventClosure vs. std::function
+// closure storage.
 //
-// BM_HoldModel_* is the classic hold model for priority-queue evaluation
+// BM_HoldModel is the classic hold model for priority-queue evaluation
 // (Jones, CACM 1986): N pending self-rescheduling timers at steady state,
 // each step pops one event and pushes its replacement at now + Exp(mean).
-// The heap pays O(log N) per transaction, the calendar queue amortised
-// O(1), so the gap should widen from N = 1k to N = 100k.
+// The heap pays O(log N) per transaction, so N = 1k vs. N = 100k shows
+// how the cost grows with queue depth.
 //
-// BM_MixedHorizon_* repeats the hold model with a bimodal delay mix (90%
-// near timers, 10% far horizons) -- the access pattern that stresses the
-// calendar's bucket-year scan and resize policy rather than its happy
-// path.
+// BM_MixedHorizon repeats the hold model with a bimodal delay mix (90%
+// near timers, 10% far horizons), so new events land deep in the heap
+// as well as near its top.
 //
-// BM_BurstFanout_* schedules a K-event burst at one timestamp and drains
-// it, the shape a broadcast flood or round kickoff produces.  Equal-time
-// events land in one calendar bucket, so this measures the seq-tiebreak
-// scan against the heap's sift.
+// BM_BurstFanout schedules a K-event burst at one timestamp and drains
+// it, the shape a broadcast flood or round kickoff produces; the seq
+// tiebreak decides every comparison.
 //
 // BM_Closure_* isolates closure storage: construct + invoke of a capture
 // that fits std::function's inline buffer (16 bytes on libstdc++) vs. one
@@ -52,9 +50,8 @@ struct HoldTimer {
   }
 };
 
-void bm_hold(benchmark::State& state, sim::QueueEngine engine,
-             double long_mean) {
-  sim::Simulator simulator(engine);
+void bm_hold(benchmark::State& state, double long_mean) {
+  sim::Simulator simulator;
   Rng seeder(7);
   const auto pending = static_cast<std::size_t>(state.range(0));
   for (std::size_t i = 0; i < pending; ++i) {
@@ -66,30 +63,16 @@ void bm_hold(benchmark::State& state, sim::QueueEngine engine,
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(simulator.events_executed()));
-  state.counters["rebuilds"] =
-      static_cast<double>(simulator.queue_rebuilds());
 }
 
-void BM_HoldModel_Calendar(benchmark::State& state) {
-  bm_hold(state, sim::QueueEngine::kCalendar, 0);
-}
-void BM_HoldModel_LegacyHeap(benchmark::State& state) {
-  bm_hold(state, sim::QueueEngine::kLegacyHeap, 0);
-}
-BENCHMARK(BM_HoldModel_Calendar)->Arg(1000)->Arg(100000);
-BENCHMARK(BM_HoldModel_LegacyHeap)->Arg(1000)->Arg(100000);
+void BM_HoldModel(benchmark::State& state) { bm_hold(state, 0); }
+BENCHMARK(BM_HoldModel)->Arg(1000)->Arg(100000);
 
-void BM_MixedHorizon_Calendar(benchmark::State& state) {
-  bm_hold(state, sim::QueueEngine::kCalendar, 100.0);
-}
-void BM_MixedHorizon_LegacyHeap(benchmark::State& state) {
-  bm_hold(state, sim::QueueEngine::kLegacyHeap, 100.0);
-}
-BENCHMARK(BM_MixedHorizon_Calendar)->Arg(1000)->Arg(100000);
-BENCHMARK(BM_MixedHorizon_LegacyHeap)->Arg(1000)->Arg(100000);
+void BM_MixedHorizon(benchmark::State& state) { bm_hold(state, 100.0); }
+BENCHMARK(BM_MixedHorizon)->Arg(1000)->Arg(100000);
 
-void bm_burst(benchmark::State& state, sim::QueueEngine engine) {
-  sim::Simulator simulator(engine);
+void BM_BurstFanout(benchmark::State& state) {
+  sim::Simulator simulator;
   const auto burst = static_cast<int>(state.range(0));
   std::uint64_t sink = 0;
   for (auto _ : state) {
@@ -103,15 +86,7 @@ void bm_burst(benchmark::State& state, sim::QueueEngine engine) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(simulator.events_executed()));
 }
-
-void BM_BurstFanout_Calendar(benchmark::State& state) {
-  bm_burst(state, sim::QueueEngine::kCalendar);
-}
-void BM_BurstFanout_LegacyHeap(benchmark::State& state) {
-  bm_burst(state, sim::QueueEngine::kLegacyHeap);
-}
-BENCHMARK(BM_BurstFanout_Calendar)->Arg(64)->Arg(1024);
-BENCHMARK(BM_BurstFanout_LegacyHeap)->Arg(64)->Arg(1024);
+BENCHMARK(BM_BurstFanout)->Arg(64)->Arg(1024);
 
 /// 16-byte capture: fits both std::function's SBO and EventClosure's.
 struct SmallCapture {

@@ -119,9 +119,6 @@ struct Deployment {
                     .mac = sc.csma ? sim::MacMode::kCsma
                                    : sim::MacMode::kNullMac}),
         flooder(sim, world, channel) {
-    if (sc.legacy_event_queue) {
-      sim.set_engine(sim::QueueEngine::kLegacyHeap);
-    }
     world.set_spatial_index_enabled(sc.spatial_index);
     world.set_neighbor_cache_enabled(sc.neighbor_cache);
     place_actuators();
@@ -363,9 +360,7 @@ class Driver {
     st.counter("sim.events_executed").set(dep_->sim.events_executed());
     st.counter("sim.peak_queue_depth").set(dep_->sim.peak_pending());
     // Closure-storage health: pooled_closures must stay 0 for every
-    // workload in the repo (the capture audit), and the counters are
-    // engine-independent -- the determinism tests compare them verbatim
-    // between the calendar queue and the legacy heap.
+    // workload in the repo (the capture audit).
     const sim::ClosurePool::Stats& cls = dep_->sim.closure_stats();
     st.counter("sim.closure.inline").set(cls.inline_closures);
     st.counter("sim.closure.pooled").set(cls.pooled_closures);

@@ -156,12 +156,6 @@ struct Scenario {
   /// neighbor_cache.
   RoutingPolicy routing_policy = RoutingPolicy::kGreedy;
 
-  /// Event-queue ablation: false (default) runs the simulator on the
-  /// calendar queue, true restores the original binary heap
-  /// (--legacy-event-queue).  Results are bit-identical either way
-  /// (proven by test, like spatial_index); only wall-clock differs.
-  bool legacy_event_queue = false;
-
   /// When > 0, the run carries a flight recorder (sim::TelemetryRecorder):
   /// RunMetrics::timeseries holds per-bucket series (throughput, delay
   /// percentiles, queue waits, busy fraction, hot nodes, app-loop QoS,

@@ -58,8 +58,8 @@ void Channel::unicast(NodeId from, NodeId to, std::size_t bytes,
   assert(from != to);
   ++stats_.unicasts_sent;
   if (tracer_ && tracer_->enabled()) {
-    tracer_->emit({sim_->now(), TraceEvent::kUnicastQueued, from, to, bytes,
-                   bucket});
+    tracer_->emit(frame_record(sim_->now(), TraceEvent::kUnicastQueued, from,
+                               to, bytes, bucket));
   }
   if (!world_->alive(from)) {
     // A dead node cannot transmit; its pending sends vanish.  The trace
@@ -67,8 +67,8 @@ void Channel::unicast(NodeId from, NodeId to, std::size_t bytes,
     // otherwise see a queued send with no outcome.
     ++stats_.unicasts_failed;
     if (tracer_ && tracer_->enabled()) {
-      tracer_->emit({sim_->now(), TraceEvent::kUnicastFailed, from, to, 0,
-                     bucket});
+      tracer_->emit(frame_record(sim_->now(), TraceEvent::kUnicastFailed, from,
+                                 to, 0, bucket));
     }
     if (done) sim_->schedule_in(config_.ack_timeout_s, [done] { done(false); });
     return;
@@ -89,10 +89,10 @@ void Channel::unicast(NodeId from, NodeId to, std::size_t bytes,
     energy_->charge_tx(static_cast<std::size_t>(from), bucket);
     const bool ok = !lost && world_->can_reach(from, to);
     if (tracer_ && tracer_->enabled()) {
-      tracer_->emit({sim_->now(),
-                     ok ? TraceEvent::kUnicastDelivered
-                        : TraceEvent::kUnicastFailed,
-                     from, to, 0, bucket});
+      tracer_->emit(frame_record(sim_->now(),
+                                 ok ? TraceEvent::kUnicastDelivered
+                                    : TraceEvent::kUnicastFailed,
+                                 from, to, 0, bucket));
     }
     if (ok) {
       energy_->charge_rx(static_cast<std::size_t>(to), bucket);
@@ -112,8 +112,8 @@ void Channel::broadcast(NodeId from, std::size_t bytes, EnergyBucket bucket,
   ++stats_.broadcasts_sent;
   if (!world_->alive(from)) return;
   if (tracer_ && tracer_->enabled()) {
-    tracer_->emit({sim_->now(), TraceEvent::kBroadcast, from, -1, bytes,
-                   bucket});
+    tracer_->emit(frame_record(sim_->now(), TraceEvent::kBroadcast, from, -1,
+                               bytes, bucket));
   }
   const double airtime =
       frame_time(bytes) + rng_.uniform(0.0, config_.max_jitter_s);

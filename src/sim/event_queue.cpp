@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace refer::sim {
 
@@ -16,162 +15,19 @@ struct Later {
   }
 };
 
-constexpr std::size_t kMinBuckets = 16;
-constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
-constexpr std::size_t kBucketReserve = 4;
-constexpr double kMinWidth = 1e-9;
-
 }  // namespace
 
-void LegacyHeap::push(Event&& ev) {
+void EventQueue::push(Event&& ev) {
   heap_.push_back(std::move(ev));
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-Event LegacyHeap::pop() {
+Event EventQueue::pop() {
   assert(!heap_.empty());
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   Event ev = std::move(heap_.back());
   heap_.pop_back();
   return ev;
-}
-
-CalendarQueue::CalendarQueue() { rebuild(kMinBuckets, 1.0); }
-
-void CalendarQueue::push(Event&& ev) {
-  const std::size_t b = bucket_of(ev.at);
-  // A freshly pushed event can only displace the cached minimum, never
-  // move it: pushes append, pops are what invalidate positions.
-  if (min_valid_ &&
-      runs_before(ev, buckets_[min_bucket_][min_index_])) {
-    min_bucket_ = b;
-    min_index_ = buckets_[b].size();
-  }
-  buckets_[b].push_back(std::move(ev));
-  ++size_;
-  if (size_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
-    resize(buckets_.size() * 2);
-  }
-}
-
-Event CalendarQueue::pop() {
-  assert(size_ > 0);
-  if (!min_valid_) find_min();
-  std::vector<Event>& bucket = buckets_[min_bucket_];
-  Event ev = std::move(bucket[min_index_]);
-  if (min_index_ + 1 != bucket.size()) {
-    bucket[min_index_] = std::move(bucket.back());
-  }
-  bucket.pop_back();
-  --size_;
-  floor_ = ev.at;
-  min_valid_ = false;
-  if (size_ < buckets_.size() / 2 && buckets_.size() > kMinBuckets) {
-    resize(buckets_.size() / 2);
-  }
-  return ev;
-}
-
-double CalendarQueue::next_time() {
-  assert(size_ > 0);
-  if (!min_valid_) find_min();
-  return buckets_[min_bucket_][min_index_].at;
-}
-
-void CalendarQueue::find_min() {
-  assert(size_ > 0);
-  const std::size_t n = buckets_.size();
-  // Year scan: walk one window of buckets starting at the dequeue floor.
-  // A bucket's minimum always belongs to the earliest epoch present in
-  // it, so if that minimum falls inside the bucket's slice of the
-  // current window it is the global minimum among all events at or
-  // after the floor.
-  const double base = std::floor(floor_ * inv_width_);
-  const std::size_t start = bucket_of(floor_);
-  for (std::size_t step = 0; step < n; ++step) {
-    const std::size_t bi = (start + step) & mask_;
-    const std::vector<Event>& bucket = buckets_[bi];
-    if (bucket.empty()) continue;
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < bucket.size(); ++i) {
-      if (runs_before(bucket[i], bucket[best])) best = i;
-    }
-    const double bucket_top =
-        (base + static_cast<double>(step) + 1.0) * width_;
-    if (bucket[best].at < bucket_top) {
-      min_bucket_ = bi;
-      min_index_ = best;
-      min_valid_ = true;
-      return;
-    }
-  }
-  // Sparse window: every event lives beyond the current year.  Direct
-  // search for the global minimum and jump the floor there, so the next
-  // year scan starts at the right epoch.
-  bool found = false;
-  for (std::size_t bi = 0; bi < n; ++bi) {
-    const std::vector<Event>& bucket = buckets_[bi];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      if (!found ||
-          runs_before(bucket[i], buckets_[min_bucket_][min_index_])) {
-        min_bucket_ = bi;
-        min_index_ = i;
-        found = true;
-      }
-    }
-  }
-  assert(found);
-  min_valid_ = true;
-  floor_ = buckets_[min_bucket_][min_index_].at;
-}
-
-void CalendarQueue::rebuild(std::size_t n_buckets, double width) {
-  std::vector<Event> all;
-  all.reserve(size_);
-  for (std::vector<Event>& bucket : buckets_) {
-    for (Event& ev : bucket) all.push_back(std::move(ev));
-    bucket.clear();
-  }
-  buckets_.resize(n_buckets);
-  // Pre-size every bucket so steady-state rotation never first-touches a
-  // cold vector: with the resize policy holding avg occupancy <= 2, a
-  // four-event reservation makes post-rebuild pushes allocation-free
-  // (the zero-allocation kernel tests pin this).
-  for (std::vector<Event>& bucket : buckets_) {
-    if (bucket.capacity() < kBucketReserve) bucket.reserve(kBucketReserve);
-  }
-  mask_ = n_buckets - 1;
-  width_ = width;
-  inv_width_ = 1.0 / width;
-  for (Event& ev : all) {
-    buckets_[bucket_of(ev.at)].push_back(std::move(ev));
-  }
-  min_valid_ = false;
-  ++rebuilds_;
-}
-
-void CalendarQueue::resize(std::size_t n_buckets) {
-  // Re-derive the bucket width so a window bucket holds O(1) events:
-  // three average inter-event gaps, from the live population's span.
-  double lo = 0, hi = 0;
-  bool first = true;
-  for (const std::vector<Event>& bucket : buckets_) {
-    for (const Event& ev : bucket) {
-      if (first) {
-        lo = hi = ev.at;
-        first = false;
-      } else {
-        lo = std::min(lo, ev.at);
-        hi = std::max(hi, ev.at);
-      }
-    }
-  }
-  double width = 1.0;
-  if (size_ > 1 && hi > lo) {
-    width = std::max(3.0 * (hi - lo) / static_cast<double>(size_),
-                     kMinWidth);
-  }
-  rebuild(n_buckets, width);
 }
 
 }  // namespace refer::sim

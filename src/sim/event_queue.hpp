@@ -1,25 +1,11 @@
-// Event ordering structures for the DES kernel.
+// Event ordering structure for the DES kernel.
 //
-// Both engines implement the same total order -- (time, insertion seq),
-// ascending -- so a run is bit-identical whichever one the simulator
-// uses (pinned by tests/event_engine_test.cpp, the same contract the
-// spatial index honours for geometry):
-//
-//   - LegacyHeap: the original binary heap, now a plain vector driven by
-//     std::push_heap/pop_heap so dequeue is pop-then-execute instead of
-//     the old const_cast-move-from-priority_queue::top() pattern.
-//     O(log n) per operation; kept behind --legacy-event-queue as the
-//     reference implementation.
-//   - CalendarQueue: a classic calendar queue (R. Brown, CACM 1988) --
-//     buckets over a rotating time window, amortised O(1) enqueue and
-//     dequeue for the near-monotone timestamp streams a WSAN simulation
-//     produces.  The bucket count doubles/halves as the population
-//     crosses thresholds (like the SpatialIndex bucket heap) and the
-//     bucket width is re-derived from the live event span, so both skewed
-//     (ack timeouts) and dense (broadcast fan-out) horizons stay cheap.
-//
-// Neither engine allocates at steady state: bucket vectors and the heap
-// vector keep their capacity, and resizes stop once the population peaks.
+// EventQueue is a binary heap over a plain vector, driven by
+// std::push_heap/pop_heap: O(log n) per operation, dequeue is
+// pop-then-execute, and the total order is (time, insertion seq),
+// ascending, so runs are bit-deterministic for a fixed seed (pinned by
+// tests/event_engine_test.cpp).  It does not allocate at steady state:
+// the vector keeps its capacity once the population peaks.
 #pragma once
 
 #include <cstddef>
@@ -46,9 +32,8 @@ struct Event {
   return a.seq < b.seq;
 }
 
-/// Binary-heap engine (the pre-calendar implementation, kept as the
-/// --legacy-event-queue escape hatch and equivalence reference).
-class LegacyHeap {
+/// Binary min-heap of events under runs_before.
+class EventQueue {
  public:
   void push(Event&& ev);
   /// Removes and returns the (at, seq)-minimum.  Precondition: !empty().
@@ -60,51 +45,6 @@ class LegacyHeap {
 
  private:
   std::vector<Event> heap_;
-};
-
-/// Calendar-queue engine (the default).
-class CalendarQueue {
- public:
-  CalendarQueue();
-
-  void push(Event&& ev);
-  /// Removes and returns the (at, seq)-minimum.  Precondition: !empty().
-  Event pop();
-  /// Time of the next event.  Precondition: !empty().
-  [[nodiscard]] double next_time();
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-
-  /// Observability: how often the bucket array was rebuilt (resize or
-  /// width change).
-  [[nodiscard]] std::uint64_t rebuilds() const noexcept { return rebuilds_; }
-  [[nodiscard]] std::size_t bucket_count() const noexcept {
-    return buckets_.size();
-  }
-
- private:
-  [[nodiscard]] std::size_t bucket_of(double at) const noexcept {
-    return static_cast<std::size_t>(at * inv_width_) & mask_;
-  }
-
-  /// Locates the (at, seq)-minimum and caches its position.
-  void find_min();
-  /// Rebuilds with `n_buckets` buckets of `width` seconds.
-  void rebuild(std::size_t n_buckets, double width);
-  /// Re-derives the width from the live event span and resizes to
-  /// `n_buckets`.
-  void resize(std::size_t n_buckets);
-
-  std::vector<std::vector<Event>> buckets_;
-  std::size_t mask_ = 0;        ///< buckets_.size() - 1 (power of two)
-  double width_ = 1.0;          ///< bucket span, seconds
-  double inv_width_ = 1.0;      ///< 1 / width_
-  double floor_ = 0.0;          ///< dequeue floor: max event time popped
-  std::size_t size_ = 0;
-  bool min_valid_ = false;      ///< cached minimum position is current
-  std::size_t min_bucket_ = 0;
-  std::size_t min_index_ = 0;
-  std::uint64_t rebuilds_ = 0;
 };
 
 }  // namespace refer::sim

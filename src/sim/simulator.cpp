@@ -8,20 +8,9 @@
 
 namespace refer::sim {
 
-void Simulator::set_engine(QueueEngine engine) {
-  assert(pending() == 0 &&
-         "switch engines before scheduling; pending events would not move");
-  engine_ = engine;
-}
-
 void Simulator::schedule_event(Time at, const char* tag, EventClosure fn) {
   assert(at >= now_);
-  Event ev{at, next_seq_++, tag, std::move(fn)};
-  if (engine_ == QueueEngine::kCalendar) {
-    calendar_.push(std::move(ev));
-  } else {
-    heap_.push(std::move(ev));
-  }
+  queue_.push(Event{at, next_seq_++, tag, std::move(fn)});
   const std::size_t depth = pending();
   if (depth > peak_pending_) peak_pending_ = depth;
 }
@@ -60,9 +49,9 @@ void Simulator::execute(Event& ev) {
 }
 
 void Simulator::run_until(Time until) {
-  while (pending() != 0 && next_event_time() <= until) {
+  while (pending() != 0 && queue_.next_time() <= until) {
     // Pop before executing: the event may schedule more events.
-    Event ev = pop_event();
+    Event ev = queue_.pop();
     execute(ev);
   }
   if (now_ < until) now_ = until;
@@ -70,14 +59,14 @@ void Simulator::run_until(Time until) {
 
 void Simulator::run_all() {
   while (pending() != 0) {
-    Event ev = pop_event();
+    Event ev = queue_.pop();
     execute(ev);
   }
 }
 
 bool Simulator::step() {
   if (pending() == 0) return false;
-  Event ev = pop_event();
+  Event ev = queue_.pop();
   execute(ev);
   return true;
 }

@@ -9,11 +9,10 @@
 //   - Captures are stored in an EventClosure -- inline up to 64 bytes
 //     (covers every lambda the codebase schedules), oversized captures
 //     through a free-list ClosurePool owned by this simulator.
-//   - Events are ordered by a calendar queue (amortised O(1) per
-//     operation) by default; QueueEngine::kLegacyHeap restores the
-//     original binary heap.  Both engines realise the identical
-//     (time, seq) total order, so runs are bit-identical either way --
-//     the same contract (and escape hatch style) as the spatial index.
+//   - Events are ordered by one binary heap (sim/event_queue.hpp,
+//     O(log n) per operation) in strict (time, seq) order, whether they
+//     are scheduled from inside the event loop or from outside it
+//     between run_until calls.
 //
 // Observability: the kernel always tracks the peak event-queue depth
 // (one compare per push).  Attaching a profiler (set_profiler) times the
@@ -26,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -44,29 +42,11 @@ namespace refer::sim {
 /// Simulation time in seconds.
 using Time = double;
 
-/// Which event-ordering structure the simulator runs on.
-enum class QueueEngine {
-  kCalendar,    ///< calendar queue, amortised O(1) (default)
-  kLegacyHeap,  ///< binary heap, O(log n) (--legacy-event-queue)
-};
-
 /// Event-driven simulator.  Single-threaded; protocols schedule closures.
 class Simulator {
  public:
-  /// Compatibility alias; closures are stored as EventClosure, and a
-  /// std::function passed here is just one more 32-byte inline capture.
-  using EventFn = std::function<void()>;
-
-  explicit Simulator(QueueEngine engine = QueueEngine::kCalendar) noexcept
-      : engine_(engine) {}
-
   /// Current simulation time.
   [[nodiscard]] Time now() const noexcept { return now_; }
-
-  /// Switches the ordering engine.  Only valid while the queue is empty
-  /// (in practice: right after construction, before any scheduling).
-  void set_engine(QueueEngine engine);
-  [[nodiscard]] QueueEngine engine() const noexcept { return engine_; }
 
   /// Schedules `fn` to run at absolute time `at` (>= now()).  Events at
   /// equal times run in scheduling order.
@@ -111,10 +91,7 @@ class Simulator {
   }
 
   /// Number of events still pending.
-  [[nodiscard]] std::size_t pending() const noexcept {
-    return engine_ == QueueEngine::kCalendar ? calendar_.size()
-                                             : heap_.size();
-  }
+  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
 
   /// High-water mark of the event queue over the simulator's lifetime.
   [[nodiscard]] std::size_t peak_pending() const noexcept {
@@ -126,11 +103,6 @@ class Simulator {
   /// event-engine tests pin for every workload in the repo.
   [[nodiscard]] const ClosurePool::Stats& closure_stats() const noexcept {
     return pool_.stats();
-  }
-
-  /// Calendar-queue health (0 rebuilds under the legacy heap).
-  [[nodiscard]] std::uint64_t queue_rebuilds() const noexcept {
-    return calendar_.rebuilds();
   }
 
   /// Attaches a kernel profiler: each executed event's wall-time (µs) is
@@ -149,27 +121,18 @@ class Simulator {
   void schedule_event(Time at, const char* tag, EventClosure fn);
   void execute(Event& ev);
   [[nodiscard]] Histogram* profile_histogram(const char* tag);
-  [[nodiscard]] Time next_event_time() {
-    return engine_ == QueueEngine::kCalendar ? calendar_.next_time()
-                                             : heap_.next_time();
-  }
-  [[nodiscard]] Event pop_event() {
-    return engine_ == QueueEngine::kCalendar ? calendar_.pop() : heap_.pop();
-  }
 
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t peak_pending_ = 0;
-  QueueEngine engine_ = QueueEngine::kCalendar;
   StatsRegistry* profiler_ = nullptr;
   PhaseProfiler* phase_profiler_ = nullptr;
   /// Tag -> histogram cache; tags are interned by pointer (literals), so
   /// a small linear scan beats hashing.  Never allocates on the hit path.
   std::vector<std::pair<const char*, Histogram*>> profile_cache_;
   ClosurePool pool_;
-  CalendarQueue calendar_;
-  LegacyHeap heap_;
+  EventQueue queue_;
 };
 
 }  // namespace refer::sim

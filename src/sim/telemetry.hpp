@@ -29,8 +29,7 @@
 // differ between timeline-on and timeline-off runs, exactly like the
 // profile flag), but they read simulation state without mutating it and
 // draw no randomness.  Every deterministic series is bit-identical
-// serial vs. parallel and across the calendar/legacy queue engines;
-// only the phase_wall series (wall clock) is exempt.
+// serial vs. parallel; only the phase_wall series (wall clock) is exempt.
 //
 // Bucket-edge semantics: bucket i covers [i*b, (i+1)*b) relative to
 // measure_from, except the LAST bucket which closes at window_s

@@ -109,6 +109,22 @@ struct TraceRecord {
   std::string next_label;  ///< chosen successor's overlay label
 };
 
+/// A frame-level record (Channel / World events): routing-level fields
+/// keep their "absent" defaults.
+[[nodiscard]] inline TraceRecord frame_record(double t, TraceEvent event,
+                                              NodeId from, NodeId to,
+                                              std::size_t bytes,
+                                              EnergyBucket bucket) {
+  TraceRecord rec;
+  rec.t = t;
+  rec.event = event;
+  rec.from = from;
+  rec.to = to;
+  rec.bytes = bytes;
+  rec.bucket = bucket;
+  return rec;
+}
+
 /// Dispatch point; protocols and the channel emit through this.
 class Tracer {
  public:

@@ -61,9 +61,9 @@ void World::set_alive(NodeId id, bool alive) {
   assert(id >= 0 && static_cast<std::size_t>(id) < nodes_.size());
   auto& node = nodes_[static_cast<std::size_t>(id)];
   if (node.alive != alive && tracer_ && tracer_->enabled()) {
-    tracer_->emit({sim_->now(),
-                   alive ? TraceEvent::kNodeUp : TraceEvent::kNodeDown, id,
-                   -1, 0, EnergyBucket::kMaintenance});
+    tracer_->emit(frame_record(
+        sim_->now(), alive ? TraceEvent::kNodeUp : TraceEvent::kNodeDown, id,
+        -1, 0, EnergyBucket::kMaintenance));
   }
   node.alive = alive;
 }

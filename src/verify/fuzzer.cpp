@@ -58,7 +58,8 @@ harness::Scenario ScenarioFuzzer::generate(std::uint64_t seed) {
   // Kernel / harness toggles.
   sc.csma = rng.chance(0.9);
   sc.spatial_index = rng.chance(0.9);
-  sc.legacy_event_queue = rng.chance(0.1);
+  // Former legacy_event_queue draw, kept so every seed keeps its scenario.
+  (void)rng.chance(0.1);
   sc.timeline_bucket_s = rng.chance(0.3) ? 5.0 : 0.0;
   sc.profile = rng.chance(0.25);
 
@@ -93,7 +94,7 @@ harness::Scenario ScenarioFuzzer::generate(std::uint64_t seed) {
     }
   }
 
-  // Neighbor cache escape hatch, fuzzed like legacy_event_queue: mostly
+  // Neighbor cache escape hatch, fuzzed like spatial_index: mostly
   // on (the default), off often enough that the bit-identity contract
   // between the cached and uncached scan stays exercised.  Appended
   // after every pre-existing draw so old seeds reproduce unchanged.

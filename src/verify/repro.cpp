@@ -61,7 +61,6 @@ std::string to_repro_json(const ReproCase& repro) {
   w.kv("spatial_index", sc.spatial_index);
   w.kv("neighbor_cache", sc.neighbor_cache);
   w.kv("routing_policy", harness::to_string(sc.routing_policy));
-  w.kv("legacy_event_queue", sc.legacy_event_queue);
   w.kv("timeline_bucket_s", sc.timeline_bucket_s);
   w.kv("phase_profile", sc.phase_profile);
   w.kv("profile", sc.profile);
@@ -224,7 +223,6 @@ std::optional<ReproCase> load_repro(const std::string& path) {
       r.fail("routing_policy", "expected \"greedy\" or \"regular\"");
     }
   }
-  r.boolean("legacy_event_queue", sc.legacy_event_queue);
   r.number("timeline_bucket_s", sc.timeline_bucket_s);
   // Added mid-version-3: older repro files simply predate the flag.
   r.optional_boolean("phase_profile", sc.phase_profile);

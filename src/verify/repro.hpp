@@ -17,7 +17,8 @@
 
 namespace refer::verify {
 
-// v2: adds the scenario's legacy_event_queue kernel toggle.
+// v2: adds a kernel event-queue toggle, since removed; load_repro
+//     ignores the key, so files that carry it still load.
 // v3: adds the closed-loop app layer's eight app_* scenario knobs
 //     (src/app).  load_repro still reads v2 files -- the app fields
 //     then keep their defaults (app_enabled = false).

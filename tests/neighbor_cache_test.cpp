@@ -455,29 +455,10 @@ TEST(NeighborCacheDeterminism, Fig04ScenarioIdenticalWithCacheOnAndOff) {
   }
 }
 
-TEST(NeighborCacheDeterminism, HoldsOnTheLegacyEventQueueToo) {
-  harness::Scenario sc;
-  sc.n_sensors = 100;
-  sc.warmup_s = 5;
-  sc.measure_s = 20;
-  sc.faulty_nodes = 4;
-  sc.seed = 17;
-  sc.legacy_event_queue = true;
-
-  sc.neighbor_cache = true;
-  const harness::RunMetrics on =
-      harness::run_once(harness::SystemKind::kRefer, sc);
-  sc.neighbor_cache = false;
-  const harness::RunMetrics off =
-      harness::run_once(harness::SystemKind::kRefer, sc);
-  expect_identical_runs(on, off);
-}
-
 TEST(NeighborCacheDeterminism, HoldsUnderTheRegularRoutingPolicy) {
   // The regular-routing walks route different packets over different
   // arcs than greedy, changing which neighbourhoods get queried -- the
-  // cache (and its staleness heuristic) must stay invisible there too,
-  // on both event queues.
+  // cache (and its staleness heuristic) must stay invisible there too.
   harness::Scenario sc;
   sc.n_sensors = 110;
   sc.warmup_s = 5;
@@ -486,16 +467,13 @@ TEST(NeighborCacheDeterminism, HoldsUnderTheRegularRoutingPolicy) {
   sc.seed = 29;
   sc.routing_policy = harness::RoutingPolicy::kRegular;
 
-  for (const bool legacy_queue : {false, true}) {
-    sc.legacy_event_queue = legacy_queue;
-    sc.neighbor_cache = true;
-    const harness::RunMetrics on =
-        harness::run_once(harness::SystemKind::kRefer, sc);
-    sc.neighbor_cache = false;
-    const harness::RunMetrics off =
-        harness::run_once(harness::SystemKind::kRefer, sc);
-    expect_identical_runs(on, off);
-  }
+  sc.neighbor_cache = true;
+  const harness::RunMetrics on =
+      harness::run_once(harness::SystemKind::kRefer, sc);
+  sc.neighbor_cache = false;
+  const harness::RunMetrics off =
+      harness::run_once(harness::SystemKind::kRefer, sc);
+  expect_identical_runs(on, off);
 }
 
 }  // namespace

@@ -211,6 +211,30 @@ TEST(Repro, StillLoadsVersion2FilesWithAppDefaults) {
   EXPECT_EQ(loaded->scenario.n_sensors, repro.scenario.n_sensors);
   EXPECT_EQ(loaded->scenario.measure_s, repro.scenario.measure_s);
   std::remove(path.c_str());
+
+  // A v4 file from before the kernel's event-queue toggle was removed
+  // still carries its key.  It must load -- the key is ignored, every
+  // other field survives -- and replay.
+  ReproCase v4;
+  v4.kind = harness::SystemKind::kRefer;
+  v4.scenario = ScenarioFuzzer::generate(7);
+  doc = to_repro_json(v4);
+  replace("\"timeline_bucket_s\"",
+          "\"legacy_event_queue\":true,\"timeline_bucket_s\"");
+  const std::string v4_path = temp_path("verify_v4_queue_toggle.json");
+  f = std::fopen(v4_path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs(doc.c_str(), f);
+  std::fclose(f);
+  const auto replayable = load_repro(v4_path);
+  ASSERT_TRUE(replayable.has_value()) << doc;
+  EXPECT_EQ(to_repro_json(*replayable), to_repro_json(v4));
+  const std::string trace = temp_path("verify_v4_queue_toggle.jsonl");
+  const std::vector<Violation> replayed =
+      run_case(replayable->kind, replayable->scenario, trace);
+  EXPECT_TRUE(replayed.empty()) << summarize(replayed);
+  std::remove(v4_path.c_str());
+  std::remove(trace.c_str());
 }
 
 TEST(Repro, RejectsMissingAndMalformedFiles) {
