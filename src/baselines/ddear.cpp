@@ -3,11 +3,130 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <unordered_set>
+#include <utility>
 
 namespace refer::baselines {
 
 using sim::EnergyBucket;
+
+namespace {
+
+/// Writes to `out` the nodes within `hops` hops of `node`, excluding
+/// `node`, in BFS order: every neighbour of `node`, then each of those
+/// nodes' new neighbours in turn, and so on.  `neighbours(at, visit)`
+/// calls visit(n) for each neighbour n of `at`.
+template <typename Neighbours>
+void khop_bfs(NodeId node, int hops, std::size_t n_nodes,
+              Neighbours&& neighbours, EpochMarks& seen,
+              std::vector<NodeId>& out) {
+  out.clear();
+  seen.clear(n_nodes);
+  seen.mark(static_cast<std::size_t>(node));
+  auto visit = [&seen, &out](NodeId n) {
+    if (seen.mark(static_cast<std::size_t>(n))) out.push_back(n);
+  };
+  if (hops < 1) return;
+  neighbours(node, visit);
+  std::size_t begin = 0;
+  for (int h = 1; h < hops; ++h) {
+    const std::size_t end = out.size();
+    for (std::size_t i = begin; i < end; ++i) neighbours(out[i], visit);
+    begin = end;
+  }
+}
+
+}  // namespace
+
+ClusterElection elect_clusters(sim::World& world,
+                               std::span<const double> battery,
+                               int radius_hops) {
+  const std::size_t n = world.size();
+  auto alive_sensor = [&world](std::size_t i) {
+    const auto id = static_cast<NodeId>(i);
+    return world.kind(id) == sim::NodeKind::kSensor && world.alive(id);
+  };
+  // Each alive sensor's 1-hop sensor list, queried once, as one flat id
+  // array plus per-node offsets (empty lists for everything else).
+  std::vector<std::size_t> offset(n + 1, 0);
+  std::vector<NodeId> adj;
+  for (std::size_t i = 0; i < n; ++i) {
+    offset[i] = adj.size();
+    if (!alive_sensor(i)) continue;
+    world.visit_reachable(static_cast<NodeId>(i), [&](NodeId v) {
+      if (!world.is_actuator(v)) adj.push_back(v);
+    });
+  }
+  offset[n] = adj.size();
+  auto neighbours = [&](NodeId at, auto&& visit) {
+    const auto i = static_cast<std::size_t>(at);
+    for (std::size_t k = offset[i]; k < offset[i + 1]; ++k) visit(adj[k]);
+  };
+
+  // Scores (battery, id) are distinct, so "nobody within r hops beats s"
+  // is "no neighbour u of s has a better best-within-(r-1)-hops", where
+  // best_k[u] = max(best_{k-1}[u], best_{k-1}[v] for v in nb[u]).
+  using Score = std::pair<double, NodeId>;
+  auto score = [&battery](NodeId v) {
+    return Score(battery[static_cast<std::size_t>(v)], v);
+  };
+  std::vector<Score> best(n, Score(-1, -1));
+  for (std::size_t i = 0; i < n; ++i) {
+    if (alive_sensor(i)) best[i] = score(static_cast<NodeId>(i));
+  }
+  for (int k = 1; k < radius_hops; ++k) {
+    std::vector<Score> wider = best;
+    for (std::size_t i = 0; i < n; ++i) {
+      neighbours(static_cast<NodeId>(i), [&](NodeId v) {
+        wider[i] = std::max(wider[i], best[static_cast<std::size_t>(v)]);
+      });
+    }
+    best = std::move(wider);
+  }
+
+  ClusterElection out;
+  out.head_of.assign(n, -1);
+  std::vector<char> is_head(n, 0);
+  const auto sensors = world.all_of(sim::NodeKind::kSensor);
+  for (NodeId s : sensors) {
+    if (!world.alive(s)) continue;
+    bool head = true;
+    if (radius_hops >= 1) {
+      neighbours(s, [&](NodeId u) {
+        if (best[static_cast<std::size_t>(u)] > score(s)) head = false;
+      });
+    }
+    if (head) {
+      out.heads.push_back(s);
+      is_head[static_cast<std::size_t>(s)] = 1;
+    }
+  }
+  // Members attach to the physically closest head in their ball (or
+  // become their own head when none is visible).
+  EpochMarks seen;
+  std::vector<NodeId> ball;
+  for (NodeId s : sensors) {
+    if (!world.alive(s)) continue;
+    khop_bfs(s, radius_hops, n, neighbours, seen, ball);
+    NodeId my_head = -1;
+    double best_d = std::numeric_limits<double>::infinity();
+    for (NodeId v : ball) {
+      if (!is_head[static_cast<std::size_t>(v)]) continue;
+      const double d = distance_sq(world.position(s), world.position(v));
+      if (d < best_d) {
+        best_d = d;
+        my_head = v;
+      }
+    }
+    if (is_head[static_cast<std::size_t>(s)]) my_head = s;
+    if (my_head < 0) {
+      out.heads.push_back(s);  // isolated: self-cluster
+      is_head[static_cast<std::size_t>(s)] = 1;
+      my_head = s;
+    }
+    out.head_of[static_cast<std::size_t>(s)] = my_head;
+  }
+  return out;
+}
 
 DDear::DDear(sim::Simulator& sim, sim::World& world, sim::Channel& channel,
              net::Flooder& flooder, sim::EnergyTracker& energy,
@@ -19,23 +138,16 @@ DDear::DDear(sim::Simulator& sim, sim::World& world, sim::Channel& channel,
       energy_(&energy),
       config_(config) {}
 
-std::vector<NodeId> DDear::khop_neighborhood(NodeId node, int hops) {
-  std::unordered_set<NodeId> seen{node};
-  std::vector<NodeId> frontier{node}, out;
-  for (int h = 0; h < hops; ++h) {
-    std::vector<NodeId> next;
-    for (NodeId at : frontier) {
-      world_->visit_reachable(at, [&](NodeId n) {
-        if (world_->is_actuator(n)) return;
-        if (seen.insert(n).second) {
-          next.push_back(n);
-          out.push_back(n);
-        }
-      });
-    }
-    frontier = std::move(next);
-  }
-  return out;
+const std::vector<NodeId>& DDear::khop_neighborhood(NodeId node, int hops) {
+  khop_bfs(
+      node, hops, world_->size(),
+      [this](NodeId at, auto&& visit) {
+        world_->visit_reachable(at, [&](NodeId n) {
+          if (!world_->is_actuator(n)) visit(n);
+        });
+      },
+      khop_seen_, khop_ball_);
+  return khop_ball_;
 }
 
 void DDear::build(std::function<void(bool)> done) {
@@ -54,48 +166,21 @@ void DDear::build(std::function<void(bool)> done) {
 }
 
 void DDear::elect_heads_and_paths(std::function<void(bool)> done) {
-  // A sensor with more energy than everyone in its 2-hop neighbourhood is
-  // a cluster head (ties break towards the higher node id).
   const auto sensors = world_->all_of(sim::NodeKind::kSensor);
-  std::vector<NodeId> heads;
-  auto score = [this](NodeId n) {
-    return std::pair(energy_->battery(static_cast<std::size_t>(n)), n);
-  };
+  std::vector<double> battery(world_->size(), 0.0);
   for (NodeId s : sensors) {
-    if (!world_->alive(s)) continue;
-    bool best = true;
-    for (NodeId n : khop_neighborhood(s, config_.cluster_radius_hops)) {
-      if (!world_->alive(n)) continue;
-      if (score(n) > score(s)) {
-        best = false;
-        break;
-      }
+    if (world_->alive(s)) {
+      battery[static_cast<std::size_t>(s)] =
+          energy_->battery(static_cast<std::size_t>(s));
     }
-    if (best) heads.push_back(s);
   }
-  // Members attach to the physically closest head in their 2-hop
-  // neighbourhood (or become their own head when none is visible).
+  ClusterElection election =
+      elect_clusters(*world_, battery, config_.cluster_radius_hops);
   for (NodeId s : sensors) {
-    if (!world_->alive(s)) continue;
-    NodeId my_head = -1;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (NodeId n : khop_neighborhood(s, config_.cluster_radius_hops)) {
-      if (std::find(heads.begin(), heads.end(), n) == heads.end()) continue;
-      const double d =
-          distance_sq(world_->position(s), world_->position(n));
-      if (d < best_d) {
-        best_d = d;
-        my_head = n;
-      }
-    }
-    if (std::find(heads.begin(), heads.end(), s) != heads.end()) my_head = s;
-    if (my_head < 0) {
-      heads.push_back(s);  // isolated: self-cluster
-      my_head = s;
-    }
-    head_of_[s] = my_head;
+    const NodeId head = election.head_of[static_cast<std::size_t>(s)];
+    if (head >= 0) head_of_[s] = head;
   }
-  discover_head_path(0, std::move(heads), std::move(done));
+  discover_head_path(0, std::move(election.heads), std::move(done));
 }
 
 void DDear::discover_head_path(std::size_t head_index,

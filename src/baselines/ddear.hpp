@@ -14,10 +14,12 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "baselines/wsan_system.hpp"
+#include "common/epoch_marks.hpp"
 #include "net/flooding.hpp"
 #include "sim/channel.hpp"
 #include "sim/energy.hpp"
@@ -31,6 +33,28 @@ struct DDearConfig {
   int max_retransmissions = 3;
   std::size_t control_bytes = 48;
 };
+
+/// Outcome of D-DEAR's cluster election on the current topology.
+struct ClusterElection {
+  /// Heads in election order: the k-hop maxima in sensor-id order, then
+  /// the sensors that saw no head and became their own, in id order.
+  std::vector<NodeId> heads;
+  /// Indexed by node id: the sensor's head; -1 for actuators and dead
+  /// sensors.
+  std::vector<NodeId> head_of;
+};
+
+/// The election D-DEAR runs after its hello exchange.  An alive sensor is
+/// a head iff no sensor within `radius_hops` forwarding hops has a higher
+/// score (battery[id], id); actuators are neither scored nor expanded.
+/// Every other alive sensor joins the physically closest head in that
+/// ball (first one found in BFS order on equal distance), or heads
+/// itself when it sees none -- later sensors can then join it.
+/// Reads each alive sensor's 1-hop sensor list once; the head test is
+/// O(radius x sum of degrees).  `battery` is indexed by node id.
+[[nodiscard]] ClusterElection elect_clusters(sim::World& world,
+                                             std::span<const double> battery,
+                                             int radius_hops);
 
 class DDear final : public WsanSystem {
  public:
@@ -67,8 +91,9 @@ class DDear final : public WsanSystem {
   };
   using PendingPtr = std::shared_ptr<Pending>;
 
-  /// Nodes within `hops` forwarding hops of `node` right now.
-  [[nodiscard]] std::vector<NodeId> khop_neighborhood(NodeId node, int hops);
+  /// Sensors within `hops` forwarding hops of `node` right now, in BFS
+  /// order.  The result lives in scratch reused by the next call.
+  const std::vector<NodeId>& khop_neighborhood(NodeId node, int hops);
   void elect_heads_and_paths(std::function<void(bool)> done);
   void discover_head_path(std::size_t head_index,
                           std::vector<NodeId> heads,
@@ -90,6 +115,8 @@ class DDear final : public WsanSystem {
   Stats stats_;
   std::unordered_map<NodeId, NodeId> head_of_;            // member -> head
   std::unordered_map<NodeId, std::vector<NodeId>> head_paths_;  // head -> path to actuator
+  EpochMarks khop_seen_;
+  std::vector<NodeId> khop_ball_;
 };
 
 }  // namespace refer::baselines

@@ -2,113 +2,167 @@
 
 #include <deque>
 #include <memory>
+#include <unordered_map>
+#include <utility>
 
 namespace refer::net {
 
-namespace {
-
-/// Shared per-query flood state, kept alive by the closures.
-///
-/// A node forwards a query at most once, so the path any copy carries is
-/// always "the forwarder's first-accepted path plus the forwarder".  That
-/// makes the set of travelled paths a tree: instead of copying a path
-/// vector into every relay closure (one allocation per receiver per hop),
-/// each acceptance records only its parent, and the full path is
-/// reconstructed -- identically -- on the rare target arrival.
-struct FloodState {
-  std::unordered_set<NodeId> forwarded;            // flood suppression
-  std::unordered_map<NodeId, NodeId> parent_of;    // first-accept forwarder
-  std::vector<std::vector<NodeId>> arrived_paths;
-  bool finished = false;
-
-  /// The path src ... at (inclusive) along first-acceptance parents.
-  [[nodiscard]] std::vector<NodeId> path_to(NodeId at) const {
-    std::vector<NodeId> path{at};
-    for (auto it = parent_of.find(at);
-         it != parent_of.end() && it->second >= 0;
-         it = parent_of.find(it->second)) {
-      path.push_back(it->second);
-    }
-    return {path.rbegin(), path.rend()};
+Flooder::Slot& Flooder::acquire(Kind kind, sim::EnergyBucket bucket,
+                                std::size_t bytes) {
+  Slot* slot;
+  if (free_.empty()) {
+    slots_.push_back(std::make_unique<Slot>());
+    slot = slots_.back().get();
+    slot->owner = this;
+  } else {
+    slot = free_.back();
+    free_.pop_back();
   }
-};
+  slot->kind = kind;
+  slot->bucket = bucket;
+  slot->bytes = bytes;
+  slot->accepted.clear(world_->size());
+  if (slot->hops.size() < world_->size()) slot->hops.resize(world_->size());
+  return *slot;
+}
 
-}  // namespace
+void Flooder::release(Slot& slot) {
+  ++slot.generation;  // every event still carrying the old one is stale
+  slot.arrived.clear();
+  slot.discover_done = nullptr;
+  slot.collect_done = nullptr;
+  slot.on_node = nullptr;
+  free_.push_back(&slot);
+}
+
+void Flooder::accept(Slot& slot, NodeId at, NodeId from, int depth) {
+  const auto i = static_cast<std::size_t>(at);
+  slot.accepted.mark(i);
+  if (i >= slot.hops.size()) slot.hops.resize(i + 1);
+  slot.hops[i] = {from, depth};
+}
+
+std::vector<NodeId> Flooder::path_to(const Slot& slot, NodeId at) {
+  std::vector<NodeId> path{at};
+  for (NodeId cur = at;
+       slot.accepted.marked(static_cast<std::size_t>(cur)) &&
+       slot.hops[static_cast<std::size_t>(cur)].parent >= 0;) {
+    cur = slot.hops[static_cast<std::size_t>(cur)].parent;
+    path.push_back(cur);
+  }
+  return {path.rbegin(), path.rend()};
+}
+
+void Flooder::rebroadcast(Slot& slot, NodeId at) {
+  // Slot pointer + generation + node: 16 bytes, stored inside the
+  // std::function without a heap allocation.
+  Slot* const s = &slot;
+  const std::uint32_t generation = slot.generation;
+  auto relay = [s, generation, at](NodeId r) {
+    s->owner->on_copy(*s, generation, at, r);
+  };
+  if (slot.kind == Kind::kAnnounce) {
+    // No deadline ends an announcement: its slot lives while any relay
+    // frame is still on the air.
+    if (channel_->broadcast(at, slot.bytes, slot.bucket, relay, 0,
+                            /*report_end=*/true)) {
+      ++slot.in_flight;
+    }
+    return;
+  }
+  channel_->broadcast(at, slot.bytes, slot.bucket, relay, slot.tx_range);
+}
+
+void Flooder::on_copy(Slot& slot, std::uint32_t generation, NodeId from,
+                      NodeId at) {
+  if (at == sim::Channel::kFrameEnd) {  // only announcements ask for it
+    if (--slot.in_flight == 0) release(slot);
+    return;
+  }
+  PhaseProfiler::Scope phase(phases_, Phase::kFlooding);
+  if (slot.generation != generation) return;  // flood over, slot released
+  const int depth = slot.hops[static_cast<std::size_t>(from)].depth;
+  switch (slot.kind) {
+    case Kind::kDiscover:
+      discover_copy(slot, at, from, depth - 1);
+      break;
+    case Kind::kCollect:
+      collect_copy(slot, at, from, depth - 1);
+      break;
+    case Kind::kAnnounce:
+      announce_copy(slot, at, from, depth + 1);
+      break;
+  }
+}
 
 void Flooder::discover(NodeId src, NodeId target, int ttl,
                        sim::EnergyBucket bucket, DiscoverDone done,
                        std::size_t query_bytes, double deadline_s) {
   ++next_query_;
-  auto state = std::make_shared<FloodState>();
-  auto done_shared = std::make_shared<DiscoverDone>(std::move(done));
-
-  // When the first query copy reaches the target, unicast the reply back
-  // along the reverse path; the requester learns the route when the reply
-  // arrives.
-  auto reply = [this, state, done_shared, bucket,
-                query_bytes](std::vector<NodeId> path) {
-    // path = src ... target; reply hops target -> ... -> src.
-    auto reverse = std::make_shared<std::vector<NodeId>>(path.rbegin(),
-                                                         path.rend());
-    auto forward = std::make_shared<std::function<void(std::size_t)>>();
-    *forward = [this, state, done_shared, reverse, forward, bucket,
-                query_bytes, path](std::size_t i) {
-      if (state->finished) return;
-      if (i + 1 >= reverse->size()) {
-        state->finished = true;
-        (*done_shared)(path);
-        return;
-      }
-      channel_->unicast((*reverse)[i], (*reverse)[i + 1], query_bytes, bucket,
-                        [state, forward, i, done_shared](bool ok) {
-                          if (state->finished) return;
-                          if (!ok) {
-                            state->finished = true;
-                            (*done_shared)(std::nullopt);
-                            return;
-                          }
-                          (*forward)(i + 1);
-                        });
-    };
-    (*forward)(0);
-  };
-
-  auto relay = std::make_shared<std::function<void(NodeId, NodeId, int)>>();
-  *relay = [this, state, target, bucket, query_bytes, reply,
-            relay](NodeId at, NodeId from, int ttl_left) {
+  Slot& slot = acquire(Kind::kDiscover, bucket, query_bytes);
+  slot.target = target;
+  slot.tx_range = 0;
+  slot.discover_done = std::move(done);
+  const std::uint32_t generation = slot.generation;
+  {
+    // Kick off: src "receives" its own query with full TTL.
     PhaseProfiler::Scope phase(phases_, Phase::kFlooding);
-    if (state->finished) return;
-    if (state->forwarded.contains(at)) return;  // already forwarded
-    // Only accept over symmetric links: the discovered route must carry
-    // the reply (and later data) back towards the source, so a node that
-    // cannot reach the forwarder ignores the query copy (AODV-style
-    // blacklisting of unidirectional links).
-    if (from >= 0 && !world_->can_reach(at, from)) return;
-    state->forwarded.insert(at);
-    state->parent_of.emplace(at, from);
-    if (at == target) {
-      if (state->arrived_paths.empty()) {
-        std::vector<NodeId> path = state->path_to(at);
-        state->arrived_paths.push_back(path);
-        reply(std::move(path));
-      }
-      return;
-    }
-    if (ttl_left <= 0) return;
-    channel_->broadcast(at, query_bytes, bucket,
-                        [state, relay, at, ttl_left](NodeId r) {
-                          (*relay)(r, at, ttl_left - 1);
-                        });
-  };
-
-  // Kick off: src "receives" its own query with full TTL.
-  (*relay)(src, -1, ttl);
-
-  sim_->schedule_in(deadline_s, [state, done_shared] {
-    if (state->finished) return;
-    state->finished = true;
-    (*done_shared)(std::nullopt);
+    discover_copy(slot, src, -1, ttl);
+  }
+  // Stale (and ignored) when the reply already finished the flood.
+  Slot* const s = &slot;
+  sim_->schedule_in(deadline_s, [this, s, generation] {
+    if (s->generation == generation) finish_discover(*s, std::nullopt);
   });
+}
+
+void Flooder::discover_copy(Slot& slot, NodeId at, NodeId from,
+                            int ttl_left) {
+  if (slot.accepted.marked(static_cast<std::size_t>(at))) return;
+  // Only accept over symmetric links: the discovered route must carry
+  // the reply (and later data) back towards the source, so a node that
+  // cannot reach the forwarder ignores the query copy (AODV-style
+  // blacklisting of unidirectional links).
+  if (from >= 0 && !world_->can_reach(at, from)) return;
+  accept(slot, at, from, ttl_left);
+  if (at == slot.target) {
+    // The first copy to reach the target defines the route; the reply
+    // unicasts it back along the reverse path, and the requester learns
+    // it when the reply arrives.
+    slot.arrived.push_back(path_to(slot, at));
+    reply_hop(slot, 0);
+    return;
+  }
+  if (ttl_left <= 0) return;
+  rebroadcast(slot, at);
+}
+
+void Flooder::reply_hop(Slot& slot, std::size_t i) {
+  const std::vector<NodeId>& path = slot.arrived.front();
+  const std::size_t n = path.size();
+  if (i + 1 >= n) {
+    finish_discover(slot, std::move(slot.arrived.front()));
+    return;
+  }
+  Slot* const s = &slot;
+  const std::uint32_t generation = slot.generation;
+  channel_->unicast(path[n - 1 - i], path[n - 2 - i], slot.bytes, slot.bucket,
+                    [s, generation, i = static_cast<std::uint32_t>(i)](
+                        bool ok) {
+                      if (s->generation != generation) return;
+                      if (!ok) {
+                        s->owner->finish_discover(*s, std::nullopt);
+                        return;
+                      }
+                      s->owner->reply_hop(*s, i + 1);
+                    });
+}
+
+void Flooder::finish_discover(Slot& slot,
+                              std::optional<std::vector<NodeId>> path) {
+  DiscoverDone done = std::move(slot.discover_done);
+  release(slot);
+  done(std::move(path));
 }
 
 void Flooder::collect_paths(NodeId src, NodeId target, int ttl,
@@ -116,62 +170,61 @@ void Flooder::collect_paths(NodeId src, NodeId target, int ttl,
                             std::size_t query_bytes, double deadline_s,
                             double query_tx_range) {
   ++next_query_;
-  auto state = std::make_shared<FloodState>();
-  auto relay = std::make_shared<std::function<void(NodeId, NodeId, int)>>();
-  *relay = [this, state, target, bucket, query_bytes, query_tx_range,
-            relay](NodeId at, NodeId from, int ttl_left) {
+  Slot& slot = acquire(Kind::kCollect, bucket, query_bytes);
+  slot.target = target;
+  slot.tx_range = query_tx_range;
+  slot.collect_done = std::move(done);
+  {
     PhaseProfiler::Scope phase(phases_, Phase::kFlooding);
-    if (state->finished) return;
-    if (at == target) {
-      // Record every arrival: forwarder's first-accept path + target.
-      std::vector<NodeId> path =
-          from >= 0 ? state->path_to(from) : std::vector<NodeId>{};
-      path.push_back(at);
-      state->arrived_paths.push_back(std::move(path));
-      return;
-    }
-    if (!state->forwarded.insert(at).second) return;
-    state->parent_of.emplace(at, from);
-    if (ttl_left <= 0) return;
-    channel_->broadcast(at, query_bytes, bucket,
-                        [state, relay, at, ttl_left](NodeId r) {
-                          (*relay)(r, at, ttl_left - 1);
-                        },
-                        query_tx_range);
-  };
-  (*relay)(src, -1, ttl + 1);  // src itself does not consume TTL
+    collect_copy(slot, src, -1, ttl + 1);  // src itself does not consume TTL
+  }
+  // The deadline defines the result, so it always ends the flood.
+  Slot* const s = &slot;
+  sim_->schedule_in(deadline_s, [this, s] {
+    CollectDone finished = std::move(s->collect_done);
+    std::vector<std::vector<NodeId>> paths = std::move(s->arrived);
+    release(*s);
+    finished(std::move(paths));
+  });
+}
 
-  sim_->schedule_in(deadline_s,
-                    [state, done = std::move(done)] {
-                      state->finished = true;
-                      done(state->arrived_paths);
-                    });
+void Flooder::collect_copy(Slot& slot, NodeId at, NodeId from,
+                           int ttl_left) {
+  if (at == slot.target) {
+    // Record every arrival: forwarder's first-accept path + target.
+    std::vector<NodeId> path =
+        from >= 0 ? path_to(slot, from) : std::vector<NodeId>{};
+    path.push_back(at);
+    slot.arrived.push_back(std::move(path));
+    return;
+  }
+  if (slot.accepted.marked(static_cast<std::size_t>(at))) return;
+  accept(slot, at, from, ttl_left);
+  if (ttl_left <= 0) return;
+  rebroadcast(slot, at);
 }
 
 void Flooder::announce(NodeId src, int ttl, sim::EnergyBucket bucket,
-                       std::function<bool(NodeId, int, NodeId)> on_node,
-                       std::size_t bytes) {
+                       AnnounceFn on_node, std::size_t bytes) {
   ++next_query_;
-  auto state = std::make_shared<FloodState>();
-  auto on_node_shared =
-      std::make_shared<std::function<bool(NodeId, int, NodeId)>>(
-          std::move(on_node));
-  auto bounded = std::make_shared<std::function<void(NodeId, NodeId, int)>>();
-  *bounded = [this, state, bucket, bytes, on_node_shared, bounded,
-              ttl](NodeId at, NodeId parent, int hops_travelled) {
+  Slot& slot = acquire(Kind::kAnnounce, bucket, bytes);
+  slot.ttl = ttl;
+  slot.on_node = std::move(on_node);
+  {
     PhaseProfiler::Scope phase(phases_, Phase::kFlooding);
-    if (state->forwarded.contains(at)) return;
-    if (*on_node_shared && parent >= 0) {
-      if (!(*on_node_shared)(at, hops_travelled, parent)) return;  // rejected
-    }
-    state->forwarded.insert(at);
-    if (hops_travelled >= ttl) return;
-    channel_->broadcast(at, bytes, bucket,
-                        [bounded, at, hops_travelled](NodeId r) {
-                          (*bounded)(r, at, hops_travelled + 1);
-                        });
-  };
-  (*bounded)(src, -1, 0);
+    announce_copy(slot, src, -1, 0);
+  }
+  if (slot.in_flight == 0) release(slot);  // nothing went on the air
+}
+
+void Flooder::announce_copy(Slot& slot, NodeId at, NodeId from, int hops) {
+  if (slot.accepted.marked(static_cast<std::size_t>(at))) return;
+  if (slot.on_node && from >= 0) {
+    if (!slot.on_node(at, hops, from)) return;  // rejected
+  }
+  accept(slot, at, from, hops);
+  if (hops >= slot.ttl) return;
+  rebroadcast(slot, at);
 }
 
 std::optional<std::vector<NodeId>> bfs_path(
@@ -206,6 +259,35 @@ std::optional<std::vector<NodeId>> bfs_path(
   return std::nullopt;
 }
 
+namespace {
+
+/// One send_along_path transfer.  Each hop's ACK callback shares it, so
+/// it is freed with the last callback.
+struct PathSend {
+  sim::Channel* channel;
+  std::vector<NodeId> path;
+  std::size_t bytes;
+  sim::EnergyBucket bucket;
+  std::function<void(std::size_t, bool)> done;
+};
+
+void send_hop(const std::shared_ptr<PathSend>& send, std::size_t i) {
+  if (i + 1 >= send->path.size()) {
+    send->done(i, true);
+    return;
+  }
+  send->channel->unicast(send->path[i], send->path[i + 1], send->bytes,
+                         send->bucket, [send, i](bool ok) {
+                           if (!ok) {
+                             send->done(i, false);
+                             return;
+                           }
+                           send_hop(send, i + 1);
+                         });
+}
+
+}  // namespace
+
 void send_along_path(sim::Channel& channel, std::vector<NodeId> path,
                      std::size_t bytes, sim::EnergyBucket bucket,
                      std::function<void(std::size_t, bool)> done) {
@@ -213,26 +295,10 @@ void send_along_path(sim::Channel& channel, std::vector<NodeId> path,
     if (done) done(0, true);
     return;
   }
-  auto shared_path = std::make_shared<std::vector<NodeId>>(std::move(path));
-  auto done_shared =
-      std::make_shared<std::function<void(std::size_t, bool)>>(std::move(done));
-  auto hop = std::make_shared<std::function<void(std::size_t)>>();
-  *hop = [&channel, shared_path, done_shared, hop, bytes,
-          bucket](std::size_t i) {
-    if (i + 1 >= shared_path->size()) {
-      (*done_shared)(i, true);
-      return;
-    }
-    channel.unicast((*shared_path)[i], (*shared_path)[i + 1], bytes, bucket,
-                    [shared_path, done_shared, hop, i](bool ok) {
-                      if (!ok) {
-                        (*done_shared)(i, false);
-                        return;
-                      }
-                      (*hop)(i + 1);
-                    });
-  };
-  (*hop)(0);
+  send_hop(std::make_shared<PathSend>(PathSend{&channel, std::move(path),
+                                               bytes, bucket,
+                                               std::move(done)}),
+           0);
 }
 
 }  // namespace refer::net

@@ -9,11 +9,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/epoch_marks.hpp"
 #include "sim/channel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/world.hpp"
@@ -22,12 +23,22 @@ namespace refer::net {
 
 using sim::NodeId;
 
-/// Flood-based discovery service.  Stateless between calls except for the
-/// query-id counter; per-query state lives in shared closures.
+/// Flood-based discovery service.  Each running flood owns one slot of a
+/// Flooder-owned pool (node-indexed accept marks, parents and depths, the
+/// arrived paths, the caller's callback); a slot is released as soon as
+/// nothing can change its flood's outcome and is reused by the next
+/// flood, so a steady flood mix allocates nothing per flood.  Every event
+/// a flood schedules carries the slot's generation: a copy that arrives
+/// after its slot was released (and perhaps reused) is ignored.
+/// docs/ARCHITECTURE.md, "Flood slots", has the lifecycle.
 class Flooder {
  public:
   Flooder(sim::Simulator& sim, sim::World& world, sim::Channel& channel)
       : sim_(&sim), world_(&world), channel_(&channel) {}
+
+  // Pending events point into the slots, which point back here.
+  Flooder(const Flooder&) = delete;
+  Flooder& operator=(const Flooder&) = delete;
 
   /// Called with the discovered src->target path, or nullopt on timeout.
   using DiscoverDone =
@@ -70,14 +81,23 @@ class Flooder {
   /// leaves the node eligible for later copies.  Used for DaTree
   /// construction (root beacon, accept = parent reachable) and global
   /// announcements.
+  using AnnounceFn = std::function<bool(NodeId node, int hops, NodeId parent)>;
   void announce(NodeId src, int ttl, sim::EnergyBucket bucket,
-                std::function<bool(NodeId node, int hops, NodeId parent)>
-                    on_node,
-                std::size_t bytes = 64);
+                AnnounceFn on_node, std::size_t bytes = 64);
 
   /// Number of floods started (tests/metrics).
   [[nodiscard]] std::uint64_t floods_started() const noexcept {
     return next_query_;
+  }
+
+  /// Floods whose slot is still held (0 once the simulator has drained).
+  [[nodiscard]] std::size_t live_floods() const noexcept {
+    return slots_.size() - free_.size();
+  }
+
+  /// Slots ever allocated: the peak number of concurrent floods.
+  [[nodiscard]] std::size_t pooled_slots() const noexcept {
+    return slots_.size();
   }
 
   /// Attaches the wall-clock phase profiler: every flood relay decision
@@ -88,11 +108,60 @@ class Flooder {
   }
 
  private:
+  enum class Kind : std::uint8_t { kDiscover, kCollect, kAnnounce };
+
+  /// One flood's state.  A node accepts a query copy at most once, so the
+  /// paths the copies travel form a tree: each acceptance records only
+  /// its parent, and a full path is rebuilt on the rare target arrival.
+  struct Slot {
+    struct Hop {
+      NodeId parent;  ///< forwarder of the first accepted copy (-1: source)
+      int depth;      ///< TTL left (discover/collect), hops (announce)
+    };
+
+    Flooder* owner = nullptr;
+    std::uint32_t generation = 0;  ///< bumped on release
+    Kind kind = Kind::kDiscover;
+    NodeId target = -1;
+    int ttl = 0;                   ///< announce: hop limit
+    int in_flight = 0;             ///< announce: relay frames on the air
+    sim::EnergyBucket bucket{};
+    std::size_t bytes = 0;
+    double tx_range = 0;
+    EpochMarks accepted;
+    std::vector<Hop> hops;         ///< valid where `accepted` is marked
+    std::vector<std::vector<NodeId>> arrived;
+    DiscoverDone discover_done;
+    CollectDone collect_done;
+    AnnounceFn on_node;
+  };
+
+  Slot& acquire(Kind kind, sim::EnergyBucket bucket, std::size_t bytes);
+  void release(Slot& slot);
+  /// Records `at`'s acceptance of the copy `from` forwarded.
+  void accept(Slot& slot, NodeId at, NodeId from, int depth);
+  /// The path source ... `at` along first-acceptance parents.
+  [[nodiscard]] static std::vector<NodeId> path_to(const Slot& slot,
+                                                   NodeId at);
+  /// Broadcasts `at`'s relay of the flood's query.
+  void rebroadcast(Slot& slot, NodeId at);
+  /// Channel delivery of `from`'s relay at `at` (or its frame end).
+  void on_copy(Slot& slot, std::uint32_t generation, NodeId from,
+               NodeId at);
+  void discover_copy(Slot& slot, NodeId at, NodeId from, int ttl_left);
+  void collect_copy(Slot& slot, NodeId at, NodeId from, int ttl_left);
+  void announce_copy(Slot& slot, NodeId at, NodeId from, int hops);
+  /// Unicasts hop `i` of a discover reply (target back to source).
+  void reply_hop(Slot& slot, std::size_t i);
+  void finish_discover(Slot& slot, std::optional<std::vector<NodeId>> path);
+
   sim::Simulator* sim_;
   sim::World* world_;
   sim::Channel* channel_;
   PhaseProfiler* phases_ = nullptr;
   std::uint64_t next_query_ = 0;
+  std::vector<std::unique_ptr<Slot>> slots_;
+  std::vector<Slot*> free_;
 };
 
 /// BFS over the *current* physical connectivity (directed by sender

@@ -205,6 +205,10 @@ class ReferRouter {
                   PacketPtr pkt);
   /// At an actuator: either done, or CAN transit toward dst cell.
   void inter_step(NodeId actuator, PacketPtr pkt);
+  /// Unicasts `pkt` to the next cell's corner `candidates[i]` (nearest
+  /// first), failing over to the next candidate on a lost ACK.
+  void try_next_cell_corner(NodeId actuator, std::vector<NodeId> candidates,
+                            std::size_t i, PacketPtr pkt);
   /// Physical transfer of one Kautz arc with optional 1-relay detour.
   void transmit_arc(NodeId from, NodeId to, PacketPtr pkt,
                     std::function<void(bool)> done);

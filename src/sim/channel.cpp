@@ -107,10 +107,11 @@ void Channel::unicast(NodeId from, NodeId to, std::size_t bytes,
   });
 }
 
-void Channel::broadcast(NodeId from, std::size_t bytes, EnergyBucket bucket,
-                        ReceiveFn on_receive, double range_override) {
+bool Channel::broadcast(NodeId from, std::size_t bytes, EnergyBucket bucket,
+                        ReceiveFn on_receive, double range_override,
+                        bool report_end) {
   ++stats_.broadcasts_sent;
-  if (!world_->alive(from)) return;
+  if (!world_->alive(from)) return false;
   if (tracer_ && tracer_->enabled()) {
     tracer_->emit(frame_record(sim_->now(), TraceEvent::kBroadcast, from, -1,
                                bytes, bucket));
@@ -123,7 +124,7 @@ void Channel::broadcast(NodeId from, std::size_t bytes, EnergyBucket bucket,
     telemetry_->on_queue_wait(sim_->now(), (start - sim_->now()) * 1e6);
   }
   sim_->schedule_tagged(start + airtime, "channel.broadcast",
-                        [this, from, bucket, range_override,
+                        [this, from, bucket, range_override, report_end,
                          on_receive = std::move(on_receive)] {
     energy_->charge_tx(static_cast<std::size_t>(from), bucket);
     // Materialise the receiver set before invoking handlers: on_receive may
@@ -139,7 +140,9 @@ void Channel::broadcast(NodeId from, std::size_t bytes, EnergyBucket bucket,
       ++stats_.broadcast_receptions;
       if (on_receive) on_receive(r);
     }
+    if (report_end && on_receive) on_receive(kFrameEnd);
   });
+  return true;
 }
 
 double Channel::node_airtime_s(NodeId node) const {

@@ -88,13 +88,20 @@ class Channel {
   void unicast(NodeId from, NodeId to, std::size_t bytes, EnergyBucket bucket,
                UnicastDone done);
 
+  /// Receiver id passed to a broadcast's ReceiveFn after the last real
+  /// receiver when the sender asked for `report_end`.
+  static constexpr NodeId kFrameEnd = -1;
+
   /// One-hop broadcast to every alive node within range at delivery time.
   /// No ACKs: the sender gets no failure feedback (matches 802.11
-  /// broadcast).  `on_receive` fires once per receiver.
+  /// broadcast).  `on_receive` fires once per receiver; with `report_end`
+  /// it fires once more with kFrameEnd when the frame has left the air.
   /// `range_override` > 0 transmits at reduced power (power control);
-  /// 0 uses the sender's full range.
-  void broadcast(NodeId from, std::size_t bytes, EnergyBucket bucket,
-                 ReceiveFn on_receive, double range_override = 0);
+  /// 0 uses the sender's full range.  Returns false when the sender is
+  /// dead: nothing is sent and `on_receive` never fires.
+  bool broadcast(NodeId from, std::size_t bytes, EnergyBucket bucket,
+                 ReceiveFn on_receive, double range_override = 0,
+                 bool report_end = false);
 
   [[nodiscard]] const ChannelStats& stats() const noexcept { return stats_; }
 

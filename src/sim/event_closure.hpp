@@ -2,8 +2,8 @@
 //
 // EventClosure replaces std::function<void()> in the simulator's event
 // queue.  Captures up to kInlineSize bytes (chosen to cover every lambda
-// the codebase schedules -- the largest is Channel::unicast's delivery
-// closure at ~56 bytes; see the capture audit in
+// the codebase schedules -- the largest is Channel::broadcast's delivery
+// closure at 64 bytes; see the capture audit in
 // tests/event_engine_test.cpp) are stored inline in the Event itself, so
 // steady-state scheduling performs zero heap allocations.  Oversized
 // captures fall back to a free-list ClosurePool owned by the simulator:
@@ -127,7 +127,7 @@ class EventClosure {
  public:
   /// Inline capacity.  The audit (tests/event_engine_test.cpp) pins every
   /// capture currently scheduled by channel.cpp, net/, refer/, baselines/
-  /// and the harness under this bound; the largest today is 56 bytes.
+  /// and the harness under this bound; the largest today is 64 bytes.
   static constexpr std::size_t kInlineSize = 64;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 

@@ -1,7 +1,11 @@
 // Tests for the three comparison systems: DaTree, D-DEAR, Kautz-overlay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
+#include <unordered_set>
 
 #include "baselines/datree.hpp"
 #include "kautz/graph.hpp"
@@ -209,6 +213,175 @@ TEST_F(BaselineTest, DDearMembersAttachToNearbyHeads) {
     }
   }
   EXPECT_EQ(far, 0) << far << " members beyond the 2-hop cluster radius";
+}
+
+// ------------------------------------------------------ D-DEAR election
+
+/// The election as first written: every sensor walks its own k-hop ball
+/// twice through fresh hash sets, and head membership is a linear search
+/// of the growing head list.  Kept as the oracle for elect_clusters.
+ClusterElection brute_force_election(sim::World& world,
+                                     const std::vector<double>& battery,
+                                     int hops) {
+  auto khop = [&](sim::NodeId node) {
+    std::unordered_set<sim::NodeId> seen{node};
+    std::vector<sim::NodeId> frontier{node}, out;
+    for (int h = 0; h < hops; ++h) {
+      std::vector<sim::NodeId> next;
+      for (sim::NodeId at : frontier) {
+        world.visit_reachable(at, [&](sim::NodeId n) {
+          if (world.is_actuator(n)) return;
+          if (seen.insert(n).second) {
+            next.push_back(n);
+            out.push_back(n);
+          }
+        });
+      }
+      frontier = std::move(next);
+    }
+    return out;
+  };
+  auto score = [&](sim::NodeId n) {
+    return std::pair(battery[static_cast<std::size_t>(n)], n);
+  };
+  const auto sensors = world.all_of(sim::NodeKind::kSensor);
+  ClusterElection out;
+  out.head_of.assign(world.size(), -1);
+  auto& heads = out.heads;
+  for (sim::NodeId s : sensors) {
+    if (!world.alive(s)) continue;
+    bool best = true;
+    for (sim::NodeId n : khop(s)) {
+      if (world.alive(n) && score(n) > score(s)) best = false;
+    }
+    if (best) heads.push_back(s);
+  }
+  for (sim::NodeId s : sensors) {
+    if (!world.alive(s)) continue;
+    sim::NodeId my_head = -1;
+    double best_d = std::numeric_limits<double>::infinity();
+    for (sim::NodeId n : khop(s)) {
+      if (std::find(heads.begin(), heads.end(), n) == heads.end()) continue;
+      const double d = distance_sq(world.position(s), world.position(n));
+      if (d < best_d) {
+        best_d = d;
+        my_head = n;
+      }
+    }
+    if (std::find(heads.begin(), heads.end(), s) != heads.end()) my_head = s;
+    if (my_head < 0) {
+      heads.push_back(s);
+      my_head = s;
+    }
+    out.head_of[static_cast<std::size_t>(s)] = my_head;
+  }
+  return out;
+}
+
+void expect_matches_oracle(sim::World& world,
+                           const std::vector<double>& battery, int hops,
+                           const std::string& what) {
+  const ClusterElection fast = elect_clusters(world, battery, hops);
+  const ClusterElection slow = brute_force_election(world, battery, hops);
+  EXPECT_EQ(fast.heads, slow.heads) << what;
+  EXPECT_EQ(fast.head_of, slow.head_of) << what;
+}
+
+class ElectionTest : public ::testing::Test {
+ protected:
+  sim::Simulator sim;
+  sim::World world{{{0, 0}, {500, 500}}, sim};
+  std::vector<double> battery;
+};
+
+TEST(DDearElection, MatchesBruteForceOnRandomDeployments) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    sim::Simulator sim;
+    sim::World world{{{0, 0}, {500, 500}}, sim};
+    Rng rng(seed);
+    const int actuators = 2 + static_cast<int>(rng.range(0, 4));
+    const int sensors = 30 + static_cast<int>(rng.range(0, 170));
+    std::vector<sim::NodeId> ids;
+    for (int i = 0; i < actuators + sensors; ++i) {
+      const Point p{rng.uniform(0, 500), rng.uniform(0, 500)};
+      // Actuators are interleaved with sensors so they sit inside balls
+      // and between sensor ids.
+      if (rng.chance(static_cast<double>(actuators) / (actuators + sensors))) {
+        ids.push_back(world.add_actuator(p, 250));
+      } else {
+        ids.push_back(world.add_static_sensor(p, rng.uniform(60, 140)));
+      }
+    }
+    std::vector<double> battery(world.size());
+    const bool ties = seed % 2 == 0;  // few distinct levels: id tiebreaks
+    for (double& b : battery) {
+      b = ties ? static_cast<double>(rng.range(0, 3))
+               : rng.uniform(0, 1000);
+    }
+    for (sim::NodeId id : ids) {
+      if (rng.chance(0.1)) world.set_alive(id, false);
+    }
+    for (int hops : {2, 1, 3}) {
+      expect_matches_oracle(world, battery, hops,
+                            "seed " + std::to_string(seed) + " hops " +
+                                std::to_string(hops));
+    }
+  }
+}
+
+TEST_F(ElectionTest, ActuatorsAreNeitherCountedNorExpanded) {
+  // s0 and s1 are 2 hops apart only through the actuator between them.
+  const auto s0 = world.add_static_sensor({100, 100}, 100);
+  const auto a = world.add_actuator({180, 100}, 100);
+  const auto s1 = world.add_static_sensor({260, 100}, 100);
+  battery = {1, 1000, 2};
+  const ClusterElection e = elect_clusters(world, battery, 2);
+  EXPECT_EQ(e.heads, (std::vector<sim::NodeId>{s0, s1}))
+      << "the actuator neither beats s0 nor links s0 to s1";
+  EXPECT_EQ(e.head_of[static_cast<std::size_t>(a)], -1);
+  expect_matches_oracle(world, battery, 2, "actuator bridge");
+}
+
+TEST_F(ElectionTest, EqualBatteriesBreakTowardsTheHigherId) {
+  const auto s0 = world.add_static_sensor({100, 100}, 100);
+  const auto s1 = world.add_static_sensor({150, 100}, 100);
+  battery = {5, 5};
+  const ClusterElection e = elect_clusters(world, battery, 2);
+  EXPECT_EQ(e.heads, (std::vector<sim::NodeId>{s1}));
+  EXPECT_EQ(e.head_of[static_cast<std::size_t>(s0)], s1);
+  expect_matches_oracle(world, battery, 2, "tie");
+}
+
+TEST_F(ElectionTest, LaterMemberAdoptsAMidLoopSelfHead) {
+  // A line where only neighbours hear each other; battery rises with x.
+  // Only L4 wins its ball.  L0 sees no head (L4 is 4 hops away) and heads
+  // itself mid-loop; L1's ball holds no first-pass head but does hold
+  // L0, so L1 joins L0.  L2 is 160 m from L0 and from L4: the strict
+  // distance rule keeps the first head its BFS finds (L0).
+  std::vector<sim::NodeId> line;
+  for (int i = 0; i < 5; ++i) {
+    line.push_back(world.add_static_sensor({80.0 * i + 10, 100}, 100));
+    battery.push_back(6 + i);
+  }
+  const ClusterElection e = elect_clusters(world, battery, 2);
+  EXPECT_EQ(e.heads, (std::vector<sim::NodeId>{line[4], line[0]}));
+  const std::vector<sim::NodeId> want{line[0], line[0], line[0], line[4],
+                                      line[4]};
+  EXPECT_EQ(e.head_of, want);
+  expect_matches_oracle(world, battery, 2, "mid-loop self-head");
+}
+
+TEST_F(ElectionTest, DeadSensorsNeitherVoteNorJoin) {
+  const auto s0 = world.add_static_sensor({100, 100}, 100);
+  const auto dead = world.add_static_sensor({150, 100}, 100);
+  const auto s2 = world.add_static_sensor({190, 100}, 100);
+  world.set_alive(dead, false);
+  battery = {1, 1000, 2};
+  const ClusterElection e = elect_clusters(world, battery, 2);
+  EXPECT_EQ(e.heads, (std::vector<sim::NodeId>{s2}));
+  EXPECT_EQ(e.head_of[static_cast<std::size_t>(dead)], -1);
+  EXPECT_EQ(e.head_of[static_cast<std::size_t>(s0)], s2);
+  expect_matches_oracle(world, battery, 2, "dead sensor");
 }
 
 // ---------------------------------------------------------- Kautz-overlay

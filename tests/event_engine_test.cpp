@@ -76,21 +76,24 @@ TEST(CaptureAudit, EveryScheduledCaptureShapeStaysInline) {
   std::shared_ptr<int> state;          // 16 bytes
   double at = 0;
 
-  // Channel::unicast delivery -- the largest capture in the repo.
+  // Channel::unicast delivery.
   auto unicast = [self, from, to, bucket, lost, done] {
     (void)self; (void)from; (void)to; (void)bucket; (void)lost; (void)done;
   };
   static_assert(EventClosure::fits_inline<decltype(unicast)>());
   EXPECT_LE(sizeof(unicast), EventClosure::kInlineSize);
 
-  // Channel::broadcast fan-out (per-receiver delivery).
-  auto broadcast = [self, from, to, bucket, done] {
-    (void)self; (void)from; (void)to; (void)bucket; (void)done;
+  // Channel::broadcast fan-out (per-receiver delivery, power-control
+  // range, frame-end report flag) -- the largest capture in the repo,
+  // exactly 64 bytes.
+  auto broadcast = [self, from, bucket, at, lost, done] {
+    (void)self; (void)from; (void)bucket; (void)at; (void)lost; (void)done;
   };
   static_assert(EventClosure::fits_inline<decltype(broadcast)>());
 
-  // flooding.cpp round closures: shared round state + completion.
-  auto flood = [state, done] { (void)state; (void)done; };
+  // flooding.cpp deadlines: this + flood slot + slot generation.
+  void* slot = nullptr;
+  auto flood = [self, slot, from] { (void)self; (void)slot; (void)from; };
   static_assert(EventClosure::fits_inline<decltype(flood)>());
 
   // refer/system.cpp maintenance: this + flag + completion.

@@ -161,6 +161,124 @@ TEST_F(NetTest, BroadcastRangeOverrideLimitsReceivers) {
   EXPECT_EQ(received, 1) << "power control must shrink the footprint";
 }
 
+// ------------------------------------------------------- flood slot lifecycle
+
+TEST_F(NetTest, DiscoverReleasesItsSlotOnceDrained) {
+  const auto ids = make_chain(4);
+  const auto far = world.add_static_sensor({1500, 1500}, 100);
+  flooder.discover(ids[0], ids[3], 5, EnergyBucket::kMaintenance, [](auto) {});
+  flooder.discover(ids[0], far, 5, EnergyBucket::kMaintenance,  // times out
+                   [](auto) {});
+  EXPECT_EQ(flooder.live_floods(), 2u);
+  sim.run_all();
+  EXPECT_EQ(flooder.live_floods(), 0u);
+  EXPECT_EQ(flooder.floods_started(), 2u);
+}
+
+TEST_F(NetTest, CollectPathsReleasesItsSlotOnceDrained) {
+  const auto ids = make_chain(4);
+  std::vector<std::vector<NodeId>> paths;
+  flooder.collect_paths(ids[0], ids[3], 2, EnergyBucket::kConstruction,
+                        [&](auto p) { paths = p; });
+  EXPECT_EQ(flooder.live_floods(), 1u);
+  sim.run_all();
+  EXPECT_EQ(flooder.live_floods(), 0u);
+  EXPECT_EQ(paths.size(), 1u);
+}
+
+TEST_F(NetTest, AnnounceReleasesItsSlotOnceDrained) {
+  const auto ids = make_chain(6);
+  int accepted = 0;
+  flooder.announce(ids[0], 3, EnergyBucket::kConstruction,
+                   [&](NodeId, int, NodeId) { return ++accepted > 0; });
+  EXPECT_EQ(flooder.live_floods(), 1u) << "relay frames are still on the air";
+  sim.run_all();
+  EXPECT_EQ(flooder.live_floods(), 0u);
+  EXPECT_EQ(accepted, 3);
+
+  // A dead source sends nothing, so the announcement ends at once.
+  world.set_alive(ids[5], false);
+  flooder.announce(ids[5], 3, EnergyBucket::kConstruction, nullptr);
+  EXPECT_EQ(flooder.live_floods(), 0u);
+}
+
+TEST_F(NetTest, FloodsAfterADrainReuseTheirSlots) {
+  const auto ids = make_chain(5);
+  for (int i = 0; i < 4; ++i) {
+    flooder.discover(ids[0], ids[4], 6, EnergyBucket::kMaintenance,
+                     [](auto) {});
+    flooder.announce(ids[0], 2, EnergyBucket::kConstruction, nullptr);
+    flooder.collect_paths(ids[0], ids[2], 2, EnergyBucket::kConstruction,
+                          [](auto) {});
+    sim.run_all();
+  }
+  EXPECT_EQ(flooder.live_floods(), 0u);
+  EXPECT_EQ(flooder.pooled_slots(), 3u);
+}
+
+/// Two identical path queries on a crowded cluster, the second started
+/// from the first's completion at its deadline, while relay frames of the
+/// first are still queued on the medium.  `same` issues both through
+/// one Flooder (the second reuses the first's slot), otherwise through
+/// two.  Returns the second query's paths.
+std::vector<std::vector<NodeId>> back_to_back_queries(bool same,
+                                                      std::size_t* slots) {
+  sim::Simulator sim;
+  sim::World world{{{0, 0}, {2000, 2000}}, sim};
+  sim::EnergyTracker energy;
+  energy.resize(64);
+  sim::Channel channel{sim, world, energy, Rng(5)};
+  Flooder first{sim, world, channel};
+  Flooder second{sim, world, channel};
+  Flooder& next = same ? first : second;
+  Rng rng(11);
+  for (int i = 0; i < 40; ++i) {
+    world.add_static_sensor({rng.uniform(0, 150), rng.uniform(0, 150)}, 100);
+  }
+  const NodeId src = 0, target = 39;
+  std::vector<std::vector<NodeId>> paths;
+  first.collect_paths(
+      src, target, 3, EnergyBucket::kConstruction,
+      [&](auto) {
+        EXPECT_GT(sim.pending(), 0u) << "first query's relays must be queued";
+        next.collect_paths(src, target, 3, EnergyBucket::kConstruction,
+                           [&](auto p) { paths = p; });
+      },
+      64, /*deadline_s=*/0.005);
+  sim.run_all();
+  *slots = first.pooled_slots();
+  EXPECT_EQ(first.live_floods() + second.live_floods(), 0u);
+  return paths;
+}
+
+TEST(FloodSlots, LateCopiesIntoARecycledSlotAreIgnored) {
+  std::size_t recycled_slots = 0, separate_slots = 0;
+  const auto recycled = back_to_back_queries(true, &recycled_slots);
+  const auto separate = back_to_back_queries(false, &separate_slots);
+  EXPECT_EQ(recycled_slots, 1u) << "the second query must reuse the slot";
+  EXPECT_EQ(separate_slots, 1u);
+  ASSERT_FALSE(recycled.empty());
+  EXPECT_EQ(recycled, separate)
+      << "stale relays of the first query leaked into the second";
+}
+
+TEST_F(NetTest, BroadcastReportsFrameEndAfterTheLastReceiver) {
+  const auto ids = make_chain(3);
+  std::vector<NodeId> got;
+  auto record = [&](NodeId r) { got.push_back(r); };
+  EXPECT_TRUE(channel.broadcast(ids[1], 64, EnergyBucket::kConstruction,
+                                record, 0, /*report_end=*/true));
+  sim.run_all();
+  EXPECT_EQ(got, (std::vector<NodeId>{ids[0], ids[2], sim::Channel::kFrameEnd}));
+
+  got.clear();
+  world.set_alive(ids[1], false);
+  EXPECT_FALSE(channel.broadcast(ids[1], 64, EnergyBucket::kConstruction,
+                                 record, 0, /*report_end=*/true));
+  sim.run_all();
+  EXPECT_TRUE(got.empty()) << "a dead sender sends nothing, not even the end";
+}
+
 TEST_F(NetTest, BfsPathMatchesChain) {
   const auto ids = make_chain(4);
   const auto path = bfs_path(world, ids[0], ids[3]);
