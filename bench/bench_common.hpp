@@ -27,11 +27,6 @@
 //   --phase-profile attach the wall-clock phase profiler (per-bucket
 //                   phase_us in the timeseries; wall time is
 //                   nondeterministic, so off by default)
-//   --no-spatial-index  disable the world's spatial grid index (O(n)
-//                   linear scans; results are bit-identical, only slower)
-//   --no-neighbor-cache  disable the neighbor-row cache riding the grid
-//                   (every reachable query re-walks the grid cells;
-//                   results are bit-identical, only slower)
 //   --routing-policy greedy|regular  REFER intra-cell routing protocol
 //                   (default greedy, the paper's SIII-C2 shortest
 //                   paths; regular = Faber-Streib all-to-all walks
@@ -39,12 +34,15 @@
 //   --quick         reps=1, measure=45 (CI smoke runs)
 //   --full          reps=5, measure=200 (closer to paper scale)
 //
-// Unknown flags and flags missing their value are rejected with exit
+// Unknown flags, missing values and out-of-range integers (--reps >= 1,
+// --jobs >= 0, --bytes >= 1, --seed any uint64) are rejected with exit
 // code 2 -- a typo must never silently run a different experiment.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -72,7 +70,7 @@ struct BenchOptions {
 }
 
 /// Strict flag parser: exits with code 2 on an unknown flag, a flag
-/// missing its value, or a non-numeric value for a numeric flag.
+/// missing its value, or a non-numeric or out-of-range value.
 inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opt;
   opt.base.warmup_s = 10;
@@ -95,20 +93,34 @@ inline BenchOptions parse_options(int argc, char** argv) {
     }
     return v;
   };
+  // Integral flags parse exactly (through a double, seeds past 2^53
+  // would lose bits) and must be whole numbers >= min that fit the type.
+  auto integer_value = [&](int& i, auto min) {
+    const std::string flag = argv[i];
+    (void)numeric_value(i);  // non-numbers keep their "not a number" error
+    const char* raw = argv[i];
+    decltype(min) v{};
+    const auto [ptr, ec] = std::from_chars(raw, raw + std::strlen(raw), v);
+    if (ec != std::errc() || *ptr != '\0' || v < min) {
+      usage_error(flag + ": expected a whole number >= " +
+                  std::to_string(min) + ", got '" + raw + "'");
+    }
+    return v;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--reps") {
-      opt.reps = static_cast<int>(numeric_value(i));
+      opt.reps = integer_value(i, 1);
     } else if (arg == "--measure") {
       opt.base.measure_s = numeric_value(i);
     } else if (arg == "--pps") {
       opt.base.packets_per_second = numeric_value(i);
     } else if (arg == "--bytes") {
-      opt.base.packet_bytes = static_cast<std::size_t>(numeric_value(i));
+      opt.base.packet_bytes = integer_value(i, std::size_t{1});
     } else if (arg == "--seed") {
-      opt.base.seed = static_cast<std::uint64_t>(numeric_value(i));
+      opt.base.seed = integer_value(i, std::uint64_t{0});
     } else if (arg == "--jobs") {
-      opt.jobs = static_cast<int>(numeric_value(i));
+      opt.jobs = integer_value(i, 0);
     } else if (arg == "--csv") {
       opt.csv_prefix = string_value(i);
     } else if (arg == "--json") {
@@ -124,10 +136,6 @@ inline BenchOptions parse_options(int argc, char** argv) {
       }
     } else if (arg == "--phase-profile") {
       opt.base.phase_profile = true;
-    } else if (arg == "--no-spatial-index") {
-      opt.base.spatial_index = false;
-    } else if (arg == "--no-neighbor-cache") {
-      opt.base.neighbor_cache = false;
     } else if (arg == "--routing-policy") {
       const std::string value = string_value(i);
       if (!harness::parse_routing_policy(value, opt.base.routing_policy)) {

@@ -7,9 +7,8 @@
 // 10 pps x 20 kbit) fills ~half the 2 Mbit/s medium with spatial reuse;
 // by 40-80 pps every source's local medium is saturated, CSMA deferrals
 // dominate, and each transmission's medium scan fires against a busy
-// neighbourhood -- exactly the regime the neighbor cache targets, which
-// is why this bench doubles as the cache's macro benchmark
-// (run it with and without --no-neighbor-cache and compare wall_s).
+// neighbourhood -- exactly the regime the neighbor cache targets
+// (EXPERIMENTS.md, "Doubling as the neighbor-cache macro bench").
 //
 // Expected shape: carried QoS throughput rises linearly with offered
 // load, peaks near the saturation knee, then flattens or sags while

@@ -119,8 +119,6 @@ struct Deployment {
                     .mac = sc.csma ? sim::MacMode::kCsma
                                    : sim::MacMode::kNullMac}),
         flooder(sim, world, channel) {
-    world.set_spatial_index_enabled(sc.spatial_index);
-    world.set_neighbor_cache_enabled(sc.neighbor_cache);
     place_actuators();
     place_sensors();
     energy.resize(world.size());
@@ -370,10 +368,10 @@ class Driver {
     st.counter("channel.unicasts_delivered").set(cs.unicasts_delivered);
     st.counter("channel.unicasts_failed").set(cs.unicasts_failed);
     st.counter("channel.broadcasts_sent").set(cs.broadcasts_sent);
-    // Spatial-index and neighbor-cache health (zeros when disabled).
-    // world.grid.* and world.neighbor_cache.* are the only observability
-    // entries that may differ between runs of the same scenario with
-    // different index/cache toggles -- everything else is bit-identical.
+    // Spatial-index and neighbor-cache health.  world.grid.* and
+    // world.neighbor_cache.* are the only observability entries that
+    // differ when a test swaps in the reference scans (World's
+    // set_*_enabled) -- everything else is bit-identical.
     const sim::World::IndexStats& gs = dep_->world.index_stats();
     st.counter("world.grid.queries").set(gs.queries);
     st.counter("world.grid.candidates").set(gs.candidates);

@@ -264,8 +264,6 @@ void write_scenario(JsonWriter& w, const harness::Scenario& sc) {
   w.kv("app_fault_schedule", sc.app_fault_schedule);
   w.kv("seed", sc.seed);
   w.kv("csma", sc.csma);
-  w.kv("spatial_index", sc.spatial_index);
-  w.kv("neighbor_cache", sc.neighbor_cache);
   w.kv("routing_policy", harness::to_string(sc.routing_policy));
   w.kv("timeline_bucket_s", sc.timeline_bucket_s);
   w.kv("phase_profile", sc.phase_profile);
@@ -358,11 +356,9 @@ std::string ResultsWriter::to_json() const {
 bool ResultsWriter::write(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;
-  const std::string doc = to_json();
-  std::fwrite(doc.data(), 1, doc.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  return true;
+  const std::string doc = to_json() + "\n";
+  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace refer::runner

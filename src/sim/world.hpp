@@ -5,16 +5,15 @@
 // incrementally consistent under random-waypoint mobility; results are
 // bit-identical to the linear scan (candidates are sorted into ascending
 // NodeId order and re-checked against exact live positions).
-// set_spatial_index_enabled(false) restores the O(n) scan -- the
-// property tests cross-check both paths.
 //
 // On top of the grid sits a NeighborCache (sim/neighbor_cache.hpp): the
 // sorted candidate row of each (node, query radius) pair is remembered
 // and reused until any grid re-bin bumps a global epoch, turning repeat
 // queries -- the CSMA medium scan fires one per transmission -- into a
 // flat array walk.  The exact per-candidate check still runs on live
-// positions, so cached results stay bit-identical too;
-// set_neighbor_cache_enabled(false) is the escape hatch.
+// positions, so cached results stay bit-identical too.  Every run uses
+// both; the set_*_enabled(false) reference kernels (linear scan,
+// uncached grid walk) exist for tests and micro_world_bench.
 #pragma once
 
 #include <bit>
@@ -214,15 +213,15 @@ class World {
   [[nodiscard]] NodeId closest_actuator(NodeId id);
 
   /// Toggles the spatial index (on by default).  Off restores the O(n)
-  /// linear scans; results are bit-identical either way.
+  /// linear scans, the reference kernel; results are bit-identical.
   void set_spatial_index_enabled(bool enabled);
   [[nodiscard]] bool spatial_index_enabled() const noexcept {
     return index_enabled_;
   }
 
   /// Toggles the neighbor-row cache riding the spatial index (on by
-  /// default; moot while the index is off).  Results are bit-identical
-  /// either way -- this is the perf escape hatch, like the index toggle.
+  /// default; moot while the index is off).  Off re-walks the grid per
+  /// query, the uncached reference kernel; results are bit-identical.
   void set_neighbor_cache_enabled(bool enabled) noexcept {
     cache_enabled_ = enabled;
   }

@@ -57,8 +57,9 @@ harness::Scenario ScenarioFuzzer::generate(std::uint64_t seed) {
 
   // Kernel / harness toggles.
   sc.csma = rng.chance(0.9);
-  sc.spatial_index = rng.chance(0.9);
-  // Former legacy_event_queue draw, kept so every seed keeps its scenario.
+  // Former spatial_index and legacy_event_queue draws, kept so every
+  // seed keeps its scenario.
+  (void)rng.chance(0.9);
   (void)rng.chance(0.1);
   sc.timeline_bucket_s = rng.chance(0.3) ? 5.0 : 0.0;
   sc.profile = rng.chance(0.25);
@@ -94,11 +95,8 @@ harness::Scenario ScenarioFuzzer::generate(std::uint64_t seed) {
     }
   }
 
-  // Neighbor cache escape hatch, fuzzed like spatial_index: mostly
-  // on (the default), off often enough that the bit-identity contract
-  // between the cached and uncached scan stays exercised.  Appended
-  // after every pre-existing draw so old seeds reproduce unchanged.
-  sc.neighbor_cache = rng.chance(0.9);
+  // Former neighbor_cache draw, kept so every seed keeps its scenario.
+  (void)rng.chance(0.9);
 
   // Routing policy: a third of the cases ride the regular all-to-all
   // walks (kautz/regular.hpp) so the policy's invariants -- valid arc

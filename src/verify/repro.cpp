@@ -1,9 +1,12 @@
 #include "verify/repro.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "analysis/jsonl.hpp"
 #include "runner/json.hpp"
@@ -58,8 +61,6 @@ std::string to_repro_json(const ReproCase& repro) {
   // As a string: JSON numbers are doubles and drop seed bits past 2^53.
   w.kv("seed", std::to_string(sc.seed));
   w.kv("csma", sc.csma);
-  w.kv("spatial_index", sc.spatial_index);
-  w.kv("neighbor_cache", sc.neighbor_cache);
   w.kv("routing_policy", harness::to_string(sc.routing_policy));
   w.kv("timeline_bucket_s", sc.timeline_bucket_s);
   w.kv("phase_profile", sc.phase_profile);
@@ -106,17 +107,21 @@ struct FieldReader {
       }
     }
   }
-  void integer(const std::string& key, int& out) {
+  /// A repro file is outside input: a fractional number, or one `Int`
+  /// cannot hold (1e300, -1 for a size), is an error, never a cast.
+  template <typename Int>
+  void integer(const std::string& key, Int& out) {
     double d = 0;
     const std::string before = error;
     number(key, d);
-    if (error == before) out = static_cast<int>(d);
-  }
-  void size(const std::string& key, std::size_t& out) {
-    double d = 0;
-    const std::string before = error;
-    number(key, d);
-    if (error == before) out = static_cast<std::size_t>(d);
+    if (error != before) return;
+    const double limit = std::ldexp(1.0, std::numeric_limits<Int>::digits);
+    const double low = std::is_signed_v<Int> ? -limit : 0.0;
+    if (!(d >= low && d < limit) || d != std::trunc(d)) {
+      fail(key, "expected an integer");
+      return;
+    }
+    out = static_cast<Int>(d);
   }
   /// Like boolean(), but a missing key keeps `out`'s default instead of
   /// erroring -- for fields added after files of this version shipped.
@@ -192,7 +197,7 @@ std::optional<ReproCase> load_repro(const std::string& path) {
   r.integer("sources_per_round", sc.sources_per_round);
   r.number("round_period_s", sc.round_period_s);
   r.number("packets_per_second", sc.packets_per_second);
-  r.size("packet_bytes", sc.packet_bytes);
+  r.integer("packet_bytes", sc.packet_bytes);
   r.number("warmup_s", sc.warmup_s);
   r.number("measure_s", sc.measure_s);
   r.number("qos_deadline_s", sc.qos_deadline_s);
@@ -212,9 +217,6 @@ std::optional<ReproCase> load_repro(const std::string& path) {
   }
   r.string("seed", seed);
   r.boolean("csma", sc.csma);
-  r.boolean("spatial_index", sc.spatial_index);
-  // Added mid-version-3: older repro files simply predate the flag.
-  r.optional_boolean("neighbor_cache", sc.neighbor_cache);
   if (version >= 4) {
     std::string policy;
     r.string("routing_policy", policy);

@@ -26,6 +26,9 @@ namespace refer::verify {
 //     Scenario::routing_policy).  v2 / v3 files stay loadable -- the
 //     policy then keeps its default (greedy), which is what every
 //     pre-v4 run used.
+// Files up to v4 may also carry the spatial_index / neighbor_cache
+// kernel toggles, since removed (results never depended on them);
+// load_repro ignores those keys too.
 inline constexpr int kReproVersion = 4;
 
 struct ReproCase {

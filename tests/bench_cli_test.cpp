@@ -104,5 +104,43 @@ TEST(ParseOptionsDeathTest, TrailingGarbageInNumberExits2) {
               ::testing::ExitedWithCode(2), "not a number: '60s'");
 }
 
+TEST(ParseOptions, SeedRoundTripsPastTwoToThe53) {
+  // 2^53 + 1 is the first integer a double cannot hold; a repro file can
+  // name it, so the CLI must too.
+  Argv a({"--seed", "9007199254740993"});
+  EXPECT_EQ(parse_options(a.argc(), a.argv()).base.seed,
+            9007199254740993ULL);
+  Argv max({"--seed", "18446744073709551615"});
+  EXPECT_EQ(parse_options(max.argc(), max.argv()).base.seed,
+            18446744073709551615ULL);
+}
+
+TEST(ParseOptionsDeathTest, RemovedKernelFlagsAreUnknown) {
+  Argv index({"--no-spatial-index"});
+  EXPECT_EXIT(parse_options(index.argc(), index.argv()),
+              ::testing::ExitedWithCode(2), "unknown flag: --no-spatial-index");
+  Argv cache({"--no-neighbor-cache"});
+  EXPECT_EXIT(parse_options(cache.argc(), cache.argv()),
+              ::testing::ExitedWithCode(2),
+              "unknown flag: --no-neighbor-cache");
+}
+
+TEST(ParseOptionsDeathTest, IntegralFlagsRejectBadValuesWithExit2) {
+  const std::vector<std::vector<std::string>> bad = {
+      {"--seed", "-1"},      {"--seed", "1.5"},
+      {"--seed", "18446744073709551616"},
+      {"--bytes", "-5"},     {"--bytes", "0"},    {"--bytes", "2.5"},
+      {"--reps", "0"},       {"--reps", "-2"},    {"--reps", "1.5"},
+      {"--reps", "1e10"},    {"--jobs", "-1"},    {"--jobs", "0.5"},
+      {"--jobs", "3000000000"}};
+  for (const std::vector<std::string>& args : bad) {
+    Argv a(args);
+    EXPECT_EXIT(parse_options(a.argc(), a.argv()),
+                ::testing::ExitedWithCode(2),
+                args[0] + ": expected a whole number >= ")
+        << args[0] << " " << args[1];
+  }
+}
+
 }  // namespace
 }  // namespace refer::bench

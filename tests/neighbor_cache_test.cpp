@@ -3,20 +3,24 @@
 // scan) returns -- same ids, same order -- on mobile worlds, across row
 // reuse, node kills and range overrides.  Plus the epoch/counter
 // semantics, the zero-steady-state-allocation pin on the cached scan
-// path, and the end-to-end determinism proof (a full scenario run with
-// the cache on vs. off produces identical RunMetrics).
+// path, and the end-to-end determinism proofs (full scenario runs on the
+// default kernel and on the reference scans produce identical
+// RunMetrics, saturated fig_sat-style jobs included).
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "harness/experiment.hpp"
+#include "reference_kernel.hpp"
 #include "sim/neighbor_cache.hpp"
 #include "sim/simulator.hpp"
 #include "sim/world.hpp"
@@ -395,48 +399,6 @@ TEST(NeighborCacheSteadyState, RowRebuildsRecyclePoolsWithoutAllocating) {
       << "epoch turnover must recycle pools, not reallocate them";
 }
 
-/// Strips the world.grid.* and world.neighbor_cache.* health counters --
-/// the only observability entries allowed to differ between runs with
-/// different index/cache toggles.
-std::vector<StatsRegistry::Entry> without_toggle_counters(
-    std::vector<StatsRegistry::Entry> entries) {
-  std::erase_if(entries, [](const StatsRegistry::Entry& e) {
-    return e.name.rfind("world.grid.", 0) == 0 ||
-           e.name.rfind("world.neighbor_cache.", 0) == 0;
-  });
-  return entries;
-}
-
-void expect_identical_runs(const harness::RunMetrics& on,
-                           const harness::RunMetrics& off) {
-  ASSERT_TRUE(on.build_ok);
-  ASSERT_TRUE(off.build_ok);
-  EXPECT_EQ(on.packets_sent, off.packets_sent);
-  EXPECT_EQ(on.packets_delivered, off.packets_delivered);
-  EXPECT_EQ(on.qos_delivered, off.qos_delivered);
-  EXPECT_EQ(on.qos_throughput_kbps, off.qos_throughput_kbps);
-  EXPECT_EQ(on.avg_delay_ms, off.avg_delay_ms);
-  EXPECT_EQ(on.delay_p50_ms, off.delay_p50_ms);
-  EXPECT_EQ(on.delay_p95_ms, off.delay_p95_ms);
-  EXPECT_EQ(on.delay_p99_ms, off.delay_p99_ms);
-  EXPECT_EQ(on.delivery_ratio, off.delivery_ratio);
-  EXPECT_EQ(on.comm_energy_j, off.comm_energy_j);
-  EXPECT_EQ(on.construction_energy_j, off.construction_energy_j);
-  EXPECT_EQ(on.total_energy_j, off.total_energy_j);
-  EXPECT_EQ(on.qos_timeline_kbps, off.qos_timeline_kbps);
-
-  const auto obs_on = without_toggle_counters(on.observability);
-  const auto obs_off = without_toggle_counters(off.observability);
-  ASSERT_EQ(obs_on.size(), obs_off.size());
-  for (std::size_t i = 0; i < obs_on.size(); ++i) {
-    EXPECT_EQ(obs_on[i].name, obs_off[i].name);
-    EXPECT_EQ(obs_on[i].count, obs_off[i].count) << obs_on[i].name;
-    EXPECT_EQ(obs_on[i].sum, obs_off[i].sum) << obs_on[i].name;
-    EXPECT_EQ(obs_on[i].p50, obs_off[i].p50) << obs_on[i].name;
-    EXPECT_EQ(obs_on[i].p99, obs_off[i].p99) << obs_on[i].name;
-  }
-}
-
 TEST(NeighborCacheDeterminism, Fig04ScenarioIdenticalWithCacheOnAndOff) {
   harness::Scenario sc;
   sc.n_sensors = 120;
@@ -447,11 +409,8 @@ TEST(NeighborCacheDeterminism, Fig04ScenarioIdenticalWithCacheOnAndOff) {
 
   for (const harness::SystemKind kind :
        {harness::SystemKind::kRefer, harness::SystemKind::kKautzOverlay}) {
-    sc.neighbor_cache = true;
-    const harness::RunMetrics on = harness::run_once(kind, sc);
-    sc.neighbor_cache = false;
-    const harness::RunMetrics off = harness::run_once(kind, sc);
-    expect_identical_runs(on, off);
+    (void)kernel_test::expect_reference_kernels_agree(
+        kind, sc, {kernel_test::ReferenceKernel::kUncachedGrid});
   }
 }
 
@@ -466,14 +425,53 @@ TEST(NeighborCacheDeterminism, HoldsUnderTheRegularRoutingPolicy) {
   sc.faulty_nodes = 4;
   sc.seed = 29;
   sc.routing_policy = harness::RoutingPolicy::kRegular;
+  (void)kernel_test::expect_reference_kernels_agree(
+      harness::SystemKind::kRefer, sc,
+      {kernel_test::ReferenceKernel::kUncachedGrid});
+}
 
-  sc.neighbor_cache = true;
-  const harness::RunMetrics on =
-      harness::run_once(harness::SystemKind::kRefer, sc);
-  sc.neighbor_cache = false;
-  const harness::RunMetrics off =
-      harness::run_once(harness::SystemKind::kRefer, sc);
-  expect_identical_runs(on, off);
+TEST(KernelEquivalence, SaturatedJobsMatchTheReferenceScans) {
+  // The fig_sat regime: below and past the saturation knee every
+  // transmission's CSMA medium scan runs against a busy neighbourhood,
+  // the load the neighbor cache exists for.  All four systems, plus
+  // REFER's regular policy, must come out identical on the cached grid,
+  // the uncached grid and the linear scan -- and the cache must engage.
+  struct Job {
+    harness::SystemKind kind;
+    harness::RoutingPolicy policy;
+  };
+  const Job jobs[] = {
+      {harness::SystemKind::kRefer, harness::RoutingPolicy::kGreedy},
+      {harness::SystemKind::kDaTree, harness::RoutingPolicy::kGreedy},
+      {harness::SystemKind::kDDear, harness::RoutingPolicy::kGreedy},
+      {harness::SystemKind::kKautzOverlay, harness::RoutingPolicy::kGreedy},
+      {harness::SystemKind::kRefer, harness::RoutingPolicy::kRegular}};
+  for (const double pps : {10.0, 40.0}) {
+    for (const Job& job : jobs) {
+      harness::Scenario sc;  // fig_sat's deployment, a shorter window
+      sc.warmup_s = 5;
+      sc.measure_s = 15;
+      sc.seed = 5;
+      sc.packets_per_second = pps;
+      sc.routing_policy = job.policy;
+      SCOPED_TRACE(std::string(harness::to_string(job.kind)) + " " +
+                   harness::to_string(job.policy) + " @" +
+                   std::to_string(pps) + " pps");
+      const harness::RunMetrics fast =
+          kernel_test::expect_reference_kernels_agree(
+              job.kind, sc,
+              {kernel_test::ReferenceKernel::kUncachedGrid,
+               kernel_test::ReferenceKernel::kLinearScan});
+      EXPECT_GT(fast.packets_delivered, 0u);
+      const auto hits = std::find_if(
+          fast.observability.begin(), fast.observability.end(),
+          [](const StatsRegistry::Entry& e) {
+            return e.name == "world.neighbor_cache.hits";
+          });
+      ASSERT_NE(hits, fast.observability.end());
+      EXPECT_GT(hits->count, 0u) << "the neighbor cache never hit";
+    }
+  }
 }
 
 }  // namespace

@@ -374,6 +374,17 @@ TEST(ResultsWriter, EmitsSchemaValidDocument) {
   std::remove(path.c_str());
 }
 
+TEST(ResultsWriter, ReportsAFullDiskAsAFailedWrite) {
+  // /dev/full opens fine and fails every write with ENOSPC: the small
+  // document sits in stdio's buffer until fclose flushes it.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  ResultsWriter writer;
+  writer.set_benchmark("unit_test");
+  EXPECT_FALSE(writer.write("/dev/full"));
+}
+
 TEST(Logging, ConcurrentLinesDoNotInterleave) {
   constexpr int kThreads = 8;
   constexpr int kLines = 25;

@@ -2,7 +2,8 @@
 // return *exactly* what the linear scan returns -- same ids, same order,
 // same ties -- on mobile worlds at arbitrary times.  Plus the route-cache
 // equivalence and the end-to-end determinism proof (a full scenario run
-// with the index on vs. off produces identical RunMetrics).
+// on the default kernel and on the linear scan produces identical
+// RunMetrics).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,6 +14,7 @@
 #include "kautz/graph.hpp"
 #include "kautz/route_cache.hpp"
 #include "kautz/routing.hpp"
+#include "reference_kernel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/spatial_index.hpp"
 #include "sim/world.hpp"
@@ -269,18 +271,6 @@ TEST(RouteCache, AgreesWithDisjointRoutesAndCountsHits) {
   EXPECT_GT(cache.misses(), 0u);
 }
 
-/// Strips the world.grid.* and world.neighbor_cache.* health counters --
-/// the only observability entries allowed to differ between runs with
-/// different index/cache toggles.
-std::vector<StatsRegistry::Entry> without_grid_counters(
-    std::vector<StatsRegistry::Entry> entries) {
-  std::erase_if(entries, [](const StatsRegistry::Entry& e) {
-    return e.name.rfind("world.grid.", 0) == 0 ||
-           e.name.rfind("world.neighbor_cache.", 0) == 0;
-  });
-  return entries;
-}
-
 TEST(SpatialIndexDeterminism, Fig04ScenarioIdenticalWithIndexOnAndOff) {
   harness::Scenario sc;
   sc.n_sensors = 120;
@@ -291,37 +281,8 @@ TEST(SpatialIndexDeterminism, Fig04ScenarioIdenticalWithIndexOnAndOff) {
 
   for (const harness::SystemKind kind :
        {harness::SystemKind::kRefer, harness::SystemKind::kKautzOverlay}) {
-    sc.spatial_index = true;
-    const harness::RunMetrics on = harness::run_once(kind, sc);
-    sc.spatial_index = false;
-    const harness::RunMetrics off = harness::run_once(kind, sc);
-
-    ASSERT_TRUE(on.build_ok);
-    ASSERT_TRUE(off.build_ok);
-    EXPECT_EQ(on.packets_sent, off.packets_sent);
-    EXPECT_EQ(on.packets_delivered, off.packets_delivered);
-    EXPECT_EQ(on.qos_delivered, off.qos_delivered);
-    EXPECT_EQ(on.qos_throughput_kbps, off.qos_throughput_kbps);
-    EXPECT_EQ(on.avg_delay_ms, off.avg_delay_ms);
-    EXPECT_EQ(on.delay_p50_ms, off.delay_p50_ms);
-    EXPECT_EQ(on.delay_p95_ms, off.delay_p95_ms);
-    EXPECT_EQ(on.delay_p99_ms, off.delay_p99_ms);
-    EXPECT_EQ(on.delivery_ratio, off.delivery_ratio);
-    EXPECT_EQ(on.comm_energy_j, off.comm_energy_j);
-    EXPECT_EQ(on.construction_energy_j, off.construction_energy_j);
-    EXPECT_EQ(on.total_energy_j, off.total_energy_j);
-    EXPECT_EQ(on.qos_timeline_kbps, off.qos_timeline_kbps);
-
-    const auto obs_on = without_grid_counters(on.observability);
-    const auto obs_off = without_grid_counters(off.observability);
-    ASSERT_EQ(obs_on.size(), obs_off.size());
-    for (std::size_t i = 0; i < obs_on.size(); ++i) {
-      EXPECT_EQ(obs_on[i].name, obs_off[i].name);
-      EXPECT_EQ(obs_on[i].count, obs_off[i].count) << obs_on[i].name;
-      EXPECT_EQ(obs_on[i].sum, obs_off[i].sum) << obs_on[i].name;
-      EXPECT_EQ(obs_on[i].p50, obs_off[i].p50) << obs_on[i].name;
-      EXPECT_EQ(obs_on[i].p99, obs_off[i].p99) << obs_on[i].name;
-    }
+    (void)kernel_test::expect_reference_kernels_agree(
+        kind, sc, {kernel_test::ReferenceKernel::kLinearScan});
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "harness/experiment.hpp"
 #include "verify/fuzzer.hpp"
@@ -212,13 +213,17 @@ TEST(Repro, StillLoadsVersion2FilesWithAppDefaults) {
   EXPECT_EQ(loaded->scenario.measure_s, repro.scenario.measure_s);
   std::remove(path.c_str());
 
-  // A v4 file from before the kernel's event-queue toggle was removed
-  // still carries its key.  It must load -- the key is ignored, every
-  // other field survives -- and replay.
+  // A v4 file from before the kernel toggles were removed still carries
+  // the event-queue, spatial-index and neighbor-cache keys.  It must
+  // load -- the keys are ignored, every other field survives -- and
+  // replay.
   ReproCase v4;
   v4.kind = harness::SystemKind::kRefer;
   v4.scenario = ScenarioFuzzer::generate(7);
   doc = to_repro_json(v4);
+  replace("\"routing_policy\"",
+          "\"spatial_index\":false,\"neighbor_cache\":false,"
+          "\"routing_policy\"");
   replace("\"timeline_bucket_s\"",
           "\"legacy_event_queue\":true,\"timeline_bucket_s\"");
   const std::string v4_path = temp_path("verify_v4_queue_toggle.json");
@@ -245,6 +250,37 @@ TEST(Repro, RejectsMissingAndMalformedFiles) {
   std::fputs("{\"repro_version\": 1}\n", f);  // missing everything else
   std::fclose(f);
   EXPECT_FALSE(load_repro(path).has_value());
+  std::remove(path.c_str());
+}
+
+TEST(Repro, RejectsNumbersThatAreNotIntegersOfTheFieldsType) {
+  // A repro file is outside input: an integral field must hold a whole
+  // number its type can represent, never be cast from whatever double
+  // the file spells.
+  ReproCase repro;
+  repro.scenario = ScenarioFuzzer::generate(7);
+  const std::string good = to_repro_json(repro);
+  const std::string path = temp_path("verify_bad_integer.json");
+  for (const auto& [key, value] :
+       {std::pair<std::string, std::string>{"n_sensors", "1e300"},
+        {"packet_bytes", "-1"},
+        {"faulty_nodes", "2.5"}}) {
+    std::string doc = good;
+    const std::size_t at = doc.find("\"" + key + "\":");
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::size_t from = at + key.size() + 3;
+    doc.replace(from, doc.find(',', from) - from, value);
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(doc.c_str(), f);
+    std::fclose(f);
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(load_repro(path).has_value()) << doc;
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  key + ": expected an integer"),
+              std::string::npos)
+        << key;
+  }
   std::remove(path.c_str());
 }
 

@@ -42,9 +42,6 @@ void print_usage(std::FILE* out) {
                "  --timeline S    flight-recorder timeseries, bucket width S\n"
                "                  seconds (analyze with timeline_report)\n"
                "  --phase-profile wall-clock phase attribution per bucket\n"
-               "  --no-spatial-index  O(n) world scans instead of the grid\n"
-               "  --no-neighbor-cache  re-walk the grid per reachable query\n"
-               "                  instead of reusing cached neighbor rows\n"
                "  --routing-policy greedy|regular  REFER intra-cell routing\n"
                "                  (default greedy shortest paths; regular =\n"
                "                  all-to-all walks, Theorem 3.8 fail-over)\n"
