@@ -34,12 +34,15 @@
 //   --quick         reps=1, measure=45 (CI smoke runs)
 //   --full          reps=5, measure=200 (closer to paper scale)
 //
-// Unknown flags, missing values and out-of-range integers (--reps >= 1,
-// --jobs >= 0, --bytes >= 1, --seed any uint64) are rejected with exit
-// code 2 -- a typo must never silently run a different experiment.
+// Unknown flags, missing values, out-of-range integers (--reps >= 1,
+// --jobs >= 0, --bytes >= 1, --seed any uint64) and real values that
+// are not finite and > 0 (--measure, --pps, --timeline) are rejected
+// with exit code 2 -- a typo must never silently run a different
+// experiment.
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,6 +72,45 @@ struct BenchOptions {
   std::exit(2);
 }
 
+/// Flag-value parsers shared by parse_options below and `referbench
+/// fuzz`: each returns the value of `raw` or exits 2 naming `flag`.
+/// numeric_value wants a finite real number -- nan / inf / 1e999 would
+/// run a meaningless experiment that still exits 0.
+inline double numeric_value(const std::string& flag, const char* raw) {
+  char* end = nullptr;
+  const double v = std::strtod(raw, &end);
+  if (end == raw || *end != '\0') {
+    usage_error(flag + ": not a number: '" + raw + "'");
+  }
+  if (!std::isfinite(v)) {
+    usage_error(flag + ": not a finite number: '" + raw + "'");
+  }
+  return v;
+}
+
+/// A finite real number > 0 (durations, rates).
+inline double positive_value(const std::string& flag, const char* raw) {
+  const double v = numeric_value(flag, raw);
+  if (!(v > 0)) {
+    usage_error(flag + ": expected a number > 0, got '" + raw + "'");
+  }
+  return v;
+}
+
+/// Integral flags parse exactly (through a double, seeds past 2^53
+/// would lose bits) and must be whole numbers >= min that fit the type.
+template <typename Int>
+Int integer_value(const std::string& flag, const char* raw, Int min) {
+  (void)numeric_value(flag, raw);  // non-numbers keep that error
+  Int v{};
+  const auto [ptr, ec] = std::from_chars(raw, raw + std::strlen(raw), v);
+  if (ec != std::errc() || *ptr != '\0' || v < min) {
+    usage_error(flag + ": expected a whole number >= " +
+                std::to_string(min) + ", got '" + raw + "'");
+  }
+  return v;
+}
+
 /// Strict flag parser: exits with code 2 on an unknown flag, a flag
 /// missing its value, or a non-numeric or out-of-range value.
 inline BenchOptions parse_options(int argc, char** argv) {
@@ -83,44 +125,21 @@ inline BenchOptions parse_options(int argc, char** argv) {
     }
     return argv[++i];
   };
-  auto numeric_value = [&](int& i) -> double {
-    const std::string flag = argv[i];
-    const char* raw = string_value(i);
-    char* end = nullptr;
-    const double v = std::strtod(raw, &end);
-    if (end == raw || *end != '\0') {
-      usage_error(flag + ": not a number: '" + raw + "'");
-    }
-    return v;
-  };
-  // Integral flags parse exactly (through a double, seeds past 2^53
-  // would lose bits) and must be whole numbers >= min that fit the type.
-  auto integer_value = [&](int& i, auto min) {
-    const std::string flag = argv[i];
-    (void)numeric_value(i);  // non-numbers keep their "not a number" error
-    const char* raw = argv[i];
-    decltype(min) v{};
-    const auto [ptr, ec] = std::from_chars(raw, raw + std::strlen(raw), v);
-    if (ec != std::errc() || *ptr != '\0' || v < min) {
-      usage_error(flag + ": expected a whole number >= " +
-                  std::to_string(min) + ", got '" + raw + "'");
-    }
-    return v;
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--reps") {
-      opt.reps = integer_value(i, 1);
+      opt.reps = integer_value(arg, string_value(i), 1);
     } else if (arg == "--measure") {
-      opt.base.measure_s = numeric_value(i);
+      opt.base.measure_s = positive_value(arg, string_value(i));
     } else if (arg == "--pps") {
-      opt.base.packets_per_second = numeric_value(i);
+      opt.base.packets_per_second = positive_value(arg, string_value(i));
     } else if (arg == "--bytes") {
-      opt.base.packet_bytes = integer_value(i, std::size_t{1});
+      opt.base.packet_bytes =
+          integer_value(arg, string_value(i), std::size_t{1});
     } else if (arg == "--seed") {
-      opt.base.seed = integer_value(i, std::uint64_t{0});
+      opt.base.seed = integer_value(arg, string_value(i), std::uint64_t{0});
     } else if (arg == "--jobs") {
-      opt.jobs = integer_value(i, 0);
+      opt.jobs = integer_value(arg, string_value(i), 0);
     } else if (arg == "--csv") {
       opt.csv_prefix = string_value(i);
     } else if (arg == "--json") {
@@ -130,10 +149,7 @@ inline BenchOptions parse_options(int argc, char** argv) {
     } else if (arg == "--profile") {
       opt.base.profile = true;
     } else if (arg == "--timeline") {
-      opt.base.timeline_bucket_s = numeric_value(i);
-      if (opt.base.timeline_bucket_s <= 0) {
-        usage_error("--timeline: bucket seconds must be positive");
-      }
+      opt.base.timeline_bucket_s = positive_value(arg, string_value(i));
     } else if (arg == "--phase-profile") {
       opt.base.phase_profile = true;
     } else if (arg == "--routing-policy") {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "analysis/json_doc.hpp"
+#include "runner/schema_version.hpp"
 
 namespace refer::analysis {
 
@@ -60,7 +61,6 @@ double mean(const std::vector<double>& y, std::size_t from, std::size_t to) {
 }
 
 void load_series_arrays(const JsonNode& ts, TimelineSeries& out) {
-  out.v4 = true;
   out.bucket_s = ts.member_number("bucket_s", 0);
   out.start_s = ts.member_number("start_s", 0);
   out.window_s = ts.member_number("window_s", 0);
@@ -103,23 +103,20 @@ std::optional<TimelineDoc> load_timeline_doc(std::string_view json_text) {
   TimelineDoc doc;
   doc.schema_version =
       static_cast<int>(root->member_number("schema_version", 0));
-  // v3 carries qos_timeline_kbps, v4 adds the timeseries section; both
-  // load.  Anything older has no timeline data at all.
-  if (doc.schema_version < 3) return std::nullopt;
+  // v4 added the timeseries section; older documents have none.
+  if (doc.schema_version < 4 ||
+      doc.schema_version > runner::kResultsSchemaVersion) {
+    return std::nullopt;
+  }
   if (const JsonNode* bench = root->find("benchmark")) {
     if (const std::string* s = bench->string_or_null()) doc.benchmark = *s;
   }
   const JsonNode* jobs = root->find("jobs_run");
   if (!jobs || !jobs->is_array()) return doc;  // valid, just empty
-  // The scenario bucket width backfills v3 jobs (their timeline array
-  // has no local metadata).
-  double scenario_bucket_s = 0;
-  if (const JsonNode* sc = root->find("scenario")) {
-    scenario_bucket_s = sc->member_number("timeline_bucket_s", 0);
-  }
   for (const JsonNode& job : jobs->items) {
     const JsonNode* metrics = job.find("metrics");
-    if (!metrics) continue;
+    const JsonNode* ts = metrics ? metrics->find("timeseries") : nullptr;
+    if (!ts || !ts->is_object()) continue;  // no timeline on this job
     TimelineSeries series;
     if (const JsonNode* sys = job.find("system")) {
       if (const std::string* s = sys->string_or_null()) series.system = *s;
@@ -134,14 +131,8 @@ std::optional<TimelineDoc> load_timeline_doc(std::string_view json_text) {
     }
     series.x = job.member_number("x", 0);
     series.rep = static_cast<int>(job.member_number("rep", 0));
-    if (const JsonNode* ts = metrics->find("timeseries");
-        ts && ts->is_object()) {
-      load_series_arrays(*ts, series);
-    } else {
-      series.qos_kbps = metrics->member_numbers("qos_timeline_kbps");
-      series.bucket_s = scenario_bucket_s;
-    }
-    if (series.qos_kbps.empty()) continue;  // no timeline on this job
+    load_series_arrays(*ts, series);
+    if (series.qos_kbps.empty()) continue;
     doc.jobs.push_back(std::move(series));
   }
   return doc;
@@ -293,10 +284,9 @@ int print_timeline_report(std::FILE* out, const TimelineDoc& doc,
                doc.benchmark.c_str(), doc.jobs.size());
   for (const SeriesFindings& f : report.findings) {
     const TimelineSeries& s = doc.jobs[f.job];
-    std::fprintf(out, "\n%s seed=%s x=%g rep=%d (%zu buckets of %g s%s)\n",
+    std::fprintf(out, "\n%s seed=%s x=%g rep=%d (%zu buckets of %g s)\n",
                  s.system.c_str(), s.seed.c_str(), s.x, s.rep,
-                 s.qos_kbps.size(), s.bucket_s,
-                 s.v4 ? "" : ", v3 throughput-only");
+                 s.qos_kbps.size(), s.bucket_s);
     if (f.warmup_buckets > 0) {
       std::fprintf(out, "  warmup: %zu bucket(s)\n", f.warmup_buckets);
     }

@@ -1,5 +1,5 @@
 // Offline timeline analyzer: reads the flight-recorder series out of a
-// results JSON document (runner/results_writer, schema v3 or v4) and
+// results JSON document (runner/results_writer, schema v4 or later) and
 // looks for the time-resolved signatures the aggregate metrics average
 // away (tools/timeline_report):
 //
@@ -16,11 +16,11 @@
 //      faults; bucketed by sense time, so a dip localizes the fault
 //      window itself, e.g. the scripted "0@30+12" schedule).
 //
-// v3 documents (qos_timeline_kbps only) still load: the analyzer runs
-// whatever detectors its series allow.  --strict exits non-zero when
-// any anomaly (knee or dip) survives, so CI can gate on "this run
-// saturated / dipped".  Late samples (drain-period deliveries) are
-// routine and only reported informationally.
+// Schemas v4 (the first with a timeseries section) to v6 load; the
+// analyzer runs whatever detectors a job's series allow.  --strict
+// exits non-zero when any anomaly (knee or dip) survives, so CI can
+// gate on "this run saturated / dipped".  Late samples (drain-period
+// deliveries) are routine and only reported informationally.
 #pragma once
 
 #include <cstdio>
@@ -39,7 +39,6 @@ struct TimelineSeries {
   double x = 0;
   int rep = 0;
 
-  bool v4 = false;      ///< full timeseries section (v3: qos_kbps only)
   double bucket_s = 0;  ///< 0 when the job carried no timeline at all
   double start_s = 0;
   double window_s = 0;
@@ -67,7 +66,7 @@ struct TimelineDoc {
 };
 
 /// Parses a results document; nullopt on malformed JSON or a missing /
-/// unsupported schema_version.  Jobs without a timeline are skipped.
+/// schema_version outside 4..6.  Jobs without a timeseries are skipped.
 [[nodiscard]] std::optional<TimelineDoc> load_timeline_doc(
     std::string_view json_text);
 
@@ -83,13 +82,13 @@ struct Knee {
   double slope_before = 0;    ///< per-bucket units
   double slope_after = 0;
   double fit_gain = 0;        ///< 1 - sse(two segments)/sse(one line)
-  bool queue_wait_grows = false;  ///< corroboration (v4 series only)
+  bool queue_wait_grows = false;  ///< corroboration (needs queue waits)
 };
 
 /// Fits every split point and keeps the best; a knee is `found` when the
 /// curve was genuinely rising (slope_before > 0), flattens to under a
 /// quarter of that slope, and the split explains >= 25% of the single-
-/// line residual.  `queue_wait` may be empty (v3); when present, the
+/// line residual.  `queue_wait` may be empty; when present, the
 /// knee is additionally marked corroborated when the mean queue wait
 /// after the knee exceeds 1.5x the mean before it.
 [[nodiscard]] Knee detect_knee(const std::vector<double>& y,

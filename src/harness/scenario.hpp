@@ -1,9 +1,11 @@
 // Evaluation scenario description (paper SIV defaults).
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 namespace refer::harness {
 
@@ -138,8 +140,7 @@ struct Scenario {
 
   /// Intra-cell routing protocol of the REFER system (see RoutingPolicy
   /// above).  Greedy is the default so every pre-existing greedy figure
-  /// reproduces bit-identically; baselines ignore it.  Serialized into
-  /// results + repro JSON (schema v5 / repro v4) and fuzzed.
+  /// reproduces bit-identically; baselines ignore it.  Fuzzed.
   RoutingPolicy routing_policy = RoutingPolicy::kGreedy;
 
   /// When > 0, the run carries a flight recorder (sim::TelemetryRecorder):
@@ -180,5 +181,61 @@ struct Scenario {
   /// run_once, so parallel jobs must each carry their own instance.
   RunObserver* observer = nullptr;
 };
+
+/// The seed's slot in the field table.  It is the one field a double
+/// cannot hold, so a format whose numbers are doubles (repro.json) must
+/// write it as text.  std::size_t and std::uint64_t are one C++ type on
+/// LP64 targets, so this wrapper is what lets an encoder tell the seed
+/// from packet_bytes by type alone.
+template <typename U>
+struct SeedField {
+  U& value;
+};
+
+/// Every serialized Scenario field, one line each, in document key
+/// order.  The results writer, the repro writer and the repro reader
+/// are loops over this table: a knob added here is written, read back
+/// and replayed everywhere.  Run plumbing (trace_path, trace_dir,
+/// observer) is left out.  `visit(key, field)` gets a reference to each
+/// member -- const when `sc` is -- and the seed wrapped in SeedField.
+template <typename S, typename Visit>
+  requires std::same_as<std::remove_const_t<S>, Scenario>
+void for_each_field(S& sc, Visit&& visit) {
+  visit("area_side_m", sc.area_side_m);
+  visit("n_actuators", sc.n_actuators);
+  visit("n_sensors", sc.n_sensors);
+  visit("sensor_spread_m", sc.sensor_spread_m);
+  visit("sensor_range_m", sc.sensor_range_m);
+  visit("actuator_range_m", sc.actuator_range_m);
+  visit("initial_battery_j", sc.initial_battery_j);
+  visit("mobile", sc.mobile);
+  visit("min_speed_mps", sc.min_speed_mps);
+  visit("max_speed_mps", sc.max_speed_mps);
+  visit("sources_per_round", sc.sources_per_round);
+  visit("round_period_s", sc.round_period_s);
+  visit("packets_per_second", sc.packets_per_second);
+  visit("packet_bytes", sc.packet_bytes);
+  visit("warmup_s", sc.warmup_s);
+  visit("measure_s", sc.measure_s);
+  visit("qos_deadline_s", sc.qos_deadline_s);
+  visit("faulty_nodes", sc.faulty_nodes);
+  visit("fault_period_s", sc.fault_period_s);
+  visit("loss_probability", sc.loss_probability);
+  visit("planted_bug", sc.planted_bug);
+  visit("app_enabled", sc.app_enabled);
+  visit("app_event_period_s", sc.app_event_period_s);
+  visit("app_loop_deadline_s", sc.app_loop_deadline_s);
+  visit("app_keepalive_period_s", sc.app_keepalive_period_s);
+  visit("app_keepalive_miss_limit", sc.app_keepalive_miss_limit);
+  visit("app_break_rate_hz", sc.app_break_rate_hz);
+  visit("app_repair_s", sc.app_repair_s);
+  visit("app_fault_schedule", sc.app_fault_schedule);
+  visit("seed", SeedField{sc.seed});
+  visit("csma", sc.csma);
+  visit("routing_policy", sc.routing_policy);
+  visit("timeline_bucket_s", sc.timeline_bucket_s);
+  visit("phase_profile", sc.phase_profile);
+  visit("profile", sc.profile);
+}
 
 }  // namespace refer::harness

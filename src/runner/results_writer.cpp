@@ -70,11 +70,11 @@ void write_number_array(JsonWriter& w, const char* name,
 }
 
 /// The flight-recorder series as parallel per-bucket arrays, plus the
-/// two derived curves every consumer wants (qos_kbps re-derives the
-/// legacy v3 qos_timeline_kbps values bit-identically; delivery_ratio
-/// is per-bucket delivered/sent).  The wall-clock phase keys exist only
-/// when the run had phase profiling on -- they are nondeterministic and
-/// stay out of the bit-identity comparisons.
+/// two derived curves every consumer wants (qos_kbps is
+/// RunMetrics::qos_timeline_kbps, the within-run QoS throughput curve;
+/// delivery_ratio is per-bucket delivered/sent).  The wall-clock phase
+/// keys exist only when the run had phase profiling on -- they are
+/// nondeterministic and stay out of the bit-identity comparisons.
 void write_timeseries(JsonWriter& w, const harness::RunMetrics& m) {
   const sim::TimeSeries& ts = m.timeseries;
   w.begin_object();
@@ -198,12 +198,6 @@ void write_metrics(JsonWriter& w, const harness::RunMetrics& m) {
   if (!m.arc_forwards.empty()) {
     write_number_array(w, "arc_forwards", m.arc_forwards);
   }
-  if (!m.qos_timeline_kbps.empty()) {
-    w.key("qos_timeline_kbps");
-    w.begin_array();
-    for (const double v : m.qos_timeline_kbps) w.value(v);
-    w.end_array();
-  }
   if (m.timeseries.bucket_s > 0) {
     w.key("timeseries");
     write_timeseries(w, m);
@@ -231,44 +225,28 @@ void write_metrics(JsonWriter& w, const harness::RunMetrics& m) {
   w.end_object();
 }
 
+/// Results encoding of one Scenario field: JSON's own scalar for each
+/// type (the seed included -- results readers never replay it), the
+/// routing policy by name.
+template <typename T>
+void write_field(JsonWriter& w, const T& v) {
+  w.value(v);
+}
+void write_field(JsonWriter& w, harness::RoutingPolicy policy) {
+  w.value(harness::to_string(policy));
+}
+template <typename U>
+void write_field(JsonWriter& w, harness::SeedField<U> seed) {
+  w.value(seed.value);
+}
+
 void write_scenario(JsonWriter& w, const harness::Scenario& sc) {
   w.begin_object();
-  w.kv("area_side_m", sc.area_side_m);
-  w.kv("n_actuators", sc.n_actuators);
-  w.kv("n_sensors", sc.n_sensors);
-  w.kv("sensor_spread_m", sc.sensor_spread_m);
-  w.kv("sensor_range_m", sc.sensor_range_m);
-  w.kv("actuator_range_m", sc.actuator_range_m);
-  w.kv("initial_battery_j", sc.initial_battery_j);
-  w.kv("mobile", sc.mobile);
-  w.kv("min_speed_mps", sc.min_speed_mps);
-  w.kv("max_speed_mps", sc.max_speed_mps);
-  w.kv("sources_per_round", sc.sources_per_round);
-  w.kv("round_period_s", sc.round_period_s);
-  w.kv("packets_per_second", sc.packets_per_second);
-  w.kv("packet_bytes", sc.packet_bytes);
-  w.kv("warmup_s", sc.warmup_s);
-  w.kv("measure_s", sc.measure_s);
-  w.kv("qos_deadline_s", sc.qos_deadline_s);
-  w.kv("faulty_nodes", sc.faulty_nodes);
-  w.kv("fault_period_s", sc.fault_period_s);
-  w.kv("loss_probability", sc.loss_probability);
-  w.kv("planted_bug", sc.planted_bug);
-  w.kv("app_enabled", sc.app_enabled);
-  w.kv("app_event_period_s", sc.app_event_period_s);
-  w.kv("app_loop_deadline_s", sc.app_loop_deadline_s);
-  w.kv("app_keepalive_period_s", sc.app_keepalive_period_s);
-  w.kv("app_keepalive_miss_limit", sc.app_keepalive_miss_limit);
-  w.kv("app_break_rate_hz", sc.app_break_rate_hz);
-  w.kv("app_repair_s", sc.app_repair_s);
-  w.kv("app_fault_schedule", sc.app_fault_schedule);
-  w.kv("seed", sc.seed);
-  w.kv("csma", sc.csma);
-  w.kv("routing_policy", harness::to_string(sc.routing_policy));
-  w.kv("timeline_bucket_s", sc.timeline_bucket_s);
-  w.kv("phase_profile", sc.phase_profile);
+  harness::for_each_field(sc, [&w](const char* key, const auto& field) {
+    w.key(key);
+    write_field(w, field);
+  });
   w.kv("trace_dir", sc.trace_dir);
-  w.kv("profile", sc.profile);
   w.end_object();
 }
 

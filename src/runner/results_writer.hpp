@@ -2,32 +2,21 @@
 // run, so BENCH_*.json perf trajectories are first-class instead of
 // scraped ASCII tables.
 //
-// Schema (version 5; v4 + the routing-policy comparison surface: the
-// scenario gains "routing_policy" ("greedy" / "regular"), every metrics
-// block gains the fairness series "airtime_gini" / "airtime_max_min" /
-// "arc_load_gini" / "arc_load_max_min" plus an "arc_forwards" count
-// array on jobs that recorded Kautz arcs (REFER), and aggregate blocks
-// gain the matching Summary keys.  v4 documents still parse: every
-// addition is a new optional key.
-//
-// Schema (version 4; v3 + the flight recorder: a "timeseries" object
-// per job metrics block when the scenario requested a timeline
-// (timeline_bucket_s > 0) -- parallel per-bucket arrays for workload,
-// delay percentiles, queue waits, channel busy fraction, energy rate,
-// hot nodes, route-cache hit rate, app-loop QoS, plus "phase_total_us"
-// / per-bucket "phase_us" wall-clock attribution when phase_profile
-// was on -- and the phase_profile scenario flag.  v3 documents (no
-// timeseries, no phase_profile) still parse: every addition is a new
-// optional key):
+// Schema version 6.  v6 drops the per-job "qos_timeline_kbps" array,
+// a byte-for-byte copy of "timeseries.qos_kbps"; readers (tools
+// timeline_report, tools/plot_figures.py) load v4 and later.  The
+// "scenario" object holds every field of harness::for_each_field, in
+// table order, then "trace_dir"; "timeseries" exists only on jobs whose
+// scenario asked for a timeline (timeline_bucket_s > 0), its phase keys
+// only when phase_profile was on:
 //   {
-//     "schema_version": 4,
+//     "schema_version": 6,
 //     "tool": "referbench",
 //     "benchmark": "fig04",
 //     "title": "...",
 //     "git": "<git describe at configure time>",
 //     "jobs": 4, "repetitions": 3, "wall_s": 12.3,
-//     "scenario": { <every harness::Scenario field, incl. trace_dir
-//                    and profile> },
+//     "scenario": { <harness::for_each_field keys>, "trace_dir":.. },
 //     "systems": ["REFER", "DaTree", "D-DEAR", "Kautz-overlay"],
 //     "jobs_run": [ {"x":.., "system":"REFER", "rep":0, "seed":1,
 //                    "wall_ms":.., "metrics": { <every RunMetrics
@@ -66,10 +55,9 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "runner/schema_version.hpp"
 
 namespace refer::runner {
-
-inline constexpr int kResultsSchemaVersion = 5;
 
 /// `git describe --always --dirty` captured when the build was
 /// configured ("unknown" outside a git checkout).

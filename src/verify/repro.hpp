@@ -3,10 +3,10 @@
 // bit-identically.
 //
 // The format is one flat JSON object (analysis::parse_flat_object's
-// subset: no nesting) holding every Scenario field plus the system kind
-// and the violation summary that produced it.  The 64-bit seed is
-// written as a *string* -- JSON numbers are doubles and would silently
-// lose seed bits past 2^53.
+// subset: no nesting) holding the system kind, the violation summary
+// that produced it and every harness::for_each_field key.  The 64-bit
+// seed is written as a *string* -- JSON numbers are doubles and would
+// silently lose seed bits past 2^53.
 #pragma once
 
 #include <optional>
@@ -17,18 +17,10 @@
 
 namespace refer::verify {
 
-// v2: adds a kernel event-queue toggle, since removed; load_repro
-//     ignores the key, so files that carry it still load.
-// v3: adds the closed-loop app layer's eight app_* scenario knobs
-//     (src/app).  load_repro still reads v2 files -- the app fields
-//     then keep their defaults (app_enabled = false).
-// v4: adds the routing_policy toggle ("greedy" / "regular",
-//     Scenario::routing_policy).  v2 / v3 files stay loadable -- the
-//     policy then keeps its default (greedy), which is what every
-//     pre-v4 run used.
-// Files up to v4 may also carry the spatial_index / neighbor_cache
-// kernel toggles, since removed (results never depended on them);
-// load_repro ignores those keys too.
+// v4 added routing_policy to v3's app_* knobs.  load_repro reads v4
+// only and rejects any other version.  Unknown keys are ignored, so v4
+// files that still carry the removed kernel toggles (legacy_event_queue,
+// spatial_index, neighbor_cache) load and replay.
 inline constexpr int kReproVersion = 4;
 
 struct ReproCase {

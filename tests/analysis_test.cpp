@@ -529,54 +529,54 @@ TEST(TimelineDetect, DipsSkipMissingDataAndFindRuns) {
 
 // ------------------------------------------------- document loading
 
-TEST(TimelineReport, LoadsLegacyV3Documents) {
+TEST(TimelineReport, RejectsLegacyV3Documents) {
+  // v3 documents carry a per-job qos_timeline_kbps array but no
+  // timeseries section; the analyzer reads schema v4 and later only.
   const std::string v3 = R"({
     "schema_version": 3,
     "benchmark": "fig04",
     "scenario": {"timeline_bucket_s": 20},
     "jobs_run": [
       {"system": "REFER", "seed": 5, "x": 1, "rep": 0,
-       "metrics": {"qos_timeline_kbps": [1000, 1000, 986, 1014]}},
-      {"system": "DaTree", "seed": 5, "x": 1, "rep": 0,
-       "metrics": {"delivery_ratio": 0.5}}
+       "metrics": {"qos_timeline_kbps": [1000, 1000, 986, 1014]}}
     ]
   })";
-  const auto doc = load_timeline_doc(v3);
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->schema_version, 3);
-  EXPECT_EQ(doc->benchmark, "fig04");
-  // The second job carries no timeline and is skipped.
-  ASSERT_EQ(doc->jobs.size(), 1u);
-  const TimelineSeries& s = doc->jobs[0];
-  EXPECT_FALSE(s.v4);
-  EXPECT_EQ(s.system, "REFER");
-  EXPECT_EQ(s.seed, "5");
-  EXPECT_DOUBLE_EQ(s.bucket_s, 20.0);  // backfilled from the scenario
-  ASSERT_EQ(s.qos_kbps.size(), 4u);
-  EXPECT_DOUBLE_EQ(s.qos_kbps[2], 986.0);
+  EXPECT_FALSE(load_timeline_doc(v3).has_value());
 }
 
 TEST(TimelineReport, RejectsPreTimelineSchemas) {
   EXPECT_FALSE(load_timeline_doc(R"({"schema_version": 2})").has_value());
   EXPECT_FALSE(load_timeline_doc("not json").has_value());
-  // v3 with no jobs at all is a valid, empty document.
-  const auto empty = load_timeline_doc(R"({"schema_version": 3})");
+  EXPECT_FALSE(load_timeline_doc(R"({"schema_version": 7})").has_value());
+  // A current document with no jobs at all is valid and empty.
+  const auto empty = load_timeline_doc(
+      R"({"schema_version": )" + std::to_string(runner::kResultsSchemaVersion) +
+      "}");
   ASSERT_TRUE(empty.has_value());
   EXPECT_TRUE(empty->jobs.empty());
 }
 
 TEST(TimelineReport, StrictExitCodeFlipsOnAnomalies) {
-  const std::string doc_text = R"({
-    "schema_version": 3,
-    "scenario": {"timeline_bucket_s": 5},
+  // The second job has no timeline and is skipped; the numeric seed is
+  // read back as text.
+  const std::string doc_text =
+      R"({"schema_version": )" + std::to_string(runner::kResultsSchemaVersion) +
+      R"(,
+    "benchmark": "fig_app",
     "jobs_run": [
       {"system": "REFER", "seed": 1, "x": 0, "rep": 0,
-       "metrics": {"qos_timeline_kbps":
-           [500, 500, 500, 100, 90, 500, 500, 500]}}
+       "metrics": {"timeseries": {"bucket_s": 5,
+           "qos_kbps": [500, 500, 500, 100, 90, 500, 500, 500]}}},
+      {"system": "DaTree", "seed": 2, "x": 0, "rep": 0,
+       "metrics": {"qos_throughput_kbps": 500}}
     ]
   })";
   const auto doc = load_timeline_doc(doc_text);
   ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->benchmark, "fig_app");
+  ASSERT_EQ(doc->jobs.size(), 1u);
+  EXPECT_EQ(doc->jobs[0].system, "REFER");
+  EXPECT_EQ(doc->jobs[0].seed, "1");
   ReportOptions lax;
   const TimelineReport report = analyze_timelines(*doc, lax);
   ASSERT_EQ(report.findings.size(), 1u);
@@ -610,7 +610,7 @@ TEST(TimelineReport, LocalizesScriptedActuatorFaultDip) {
   ASSERT_TRUE(m.build_ok);
   ASSERT_GT(m.app_loops_started, 50u);
 
-  // Round-trip through the schema-v4 writer: this is the exact document
+  // Round-trip through the results writer: this is the exact document
   // the timeline_report CLI reads.
   runner::ResultsWriter writer;
   writer.set_tool("analysis_test");
@@ -621,11 +621,13 @@ TEST(TimelineReport, LocalizesScriptedActuatorFaultDip) {
   rec.seed = sc.seed;
   rec.metrics = m;
   writer.add_records({rec});
-  const auto doc = load_timeline_doc(writer.to_json());
+  const std::string text = writer.to_json();
+  // The QoS curve is written once, as timeseries.qos_kbps.
+  EXPECT_EQ(text.find("qos_timeline_kbps"), std::string::npos);
+  const auto doc = load_timeline_doc(text);
   ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->schema_version, 5);
+  EXPECT_EQ(doc->schema_version, runner::kResultsSchemaVersion);
   ASSERT_EQ(doc->jobs.size(), 1u);
-  EXPECT_TRUE(doc->jobs[0].v4);
 
   // One broken actuator out of five fails only the loops nearest to it
   // (the rest fail over), so judge the completion ratio against a 0.9

@@ -1,6 +1,7 @@
-// Tests for the strict referbench flag parser (bench/bench_common.hpp):
-// every accepted flag round-trips into BenchOptions, and any typo --
-// unknown flag, missing value, non-numeric value -- exits with code 2
+// Tests for the strict referbench flag parsers (bench/bench_common.hpp
+// and `referbench fuzz` in tools/verify_commands.cpp): every accepted
+// flag round-trips into BenchOptions, and any typo -- unknown flag,
+// missing value, non-numeric or out-of-range value -- exits with code 2
 // instead of silently running a different experiment.
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "verify_commands.hpp"
 
 namespace refer::bench {
 namespace {
@@ -138,6 +140,36 @@ TEST(ParseOptionsDeathTest, IntegralFlagsRejectBadValuesWithExit2) {
     EXPECT_EXIT(parse_options(a.argc(), a.argv()),
                 ::testing::ExitedWithCode(2),
                 args[0] + ": expected a whole number >= ")
+        << args[0] << " " << args[1];
+  }
+}
+
+TEST(ParseOptionsDeathTest, RealFlagsRejectNonFiniteAndNonPositiveWithExit2) {
+  const std::vector<std::vector<std::string>> bad = {
+      {"--measure", "nan"}, {"--measure", "inf"},  {"--measure", "0"},
+      {"--measure", "-5"},  {"--measure", "1e999"}, {"--pps", "nan"},
+      {"--pps", "-inf"},    {"--pps", "0"},         {"--timeline", "nan"},
+      {"--timeline", "0"},  {"--timeline", "-1"}};
+  for (const std::vector<std::string>& args : bad) {
+    Argv a(args);
+    EXPECT_EXIT(parse_options(a.argc(), a.argv()),
+                ::testing::ExitedWithCode(2), args[0] + ": ")
+        << args[0] << " " << args[1];
+  }
+}
+
+TEST(FuzzArgsDeathTest, BadValuesExit2BeforeAnyCaseRuns) {
+  // `referbench fuzz` shares the value parsers above: a typo must not
+  // run a different (or an empty) campaign and report it clean.
+  const std::vector<std::vector<std::string>> bad = {
+      {"--seeds", "abc"}, {"--seeds", "0"},       {"--jobs", "-3"},
+      {"--seed", "1.5"},  {"--seed", "-1"},       {"--plant", "x"},
+      {"--plant", "-1"},  {"--budget-s", "nan"},  {"--budget-s", "0"}};
+  for (const std::vector<std::string>& args : bad) {
+    Argv a(args);
+    // run_fuzz_command's argv starts after the `fuzz` word.
+    EXPECT_EXIT(tools::run_fuzz_command(a.argc() - 1, a.argv() + 1),
+                ::testing::ExitedWithCode(2), args[0] + ": ")
         << args[0] << " " << args[1];
   }
 }

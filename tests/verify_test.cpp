@@ -1,14 +1,20 @@
 // The verification engine end to end: fuzz seeds are pure functions of
 // their value, clean scenarios raise no invariant violations, a planted
 // bug is caught -> shrunk -> replayed from repro.json to the same
-// violation, and replaying any seed twice is field-for-field identical.
+// violation, replaying any seed twice is field-for-field identical, and
+// every Scenario field-table entry round-trips through repro.json and
+// the results document.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
+#include "analysis/json_doc.hpp"
 #include "harness/experiment.hpp"
+#include "runner/results_writer.hpp"
 #include "verify/fuzzer.hpp"
 #include "verify/invariants.hpp"
 #include "verify/repro.hpp"
@@ -168,72 +174,56 @@ TEST(Repro, RoundTripsEveryScenarioField) {
   std::remove(path.c_str());
 }
 
-TEST(Repro, StillLoadsVersion2FilesWithAppDefaults) {
-  // A current document with every app_* key (and the other post-v2
-  // fields) stripped and the version stamped back to 2 -- exactly what a
-  // pre-app-layer fuzzer wrote.  It must load, with the app knobs at
-  // their Scenario defaults (app off).
+TEST(Repro, RejectsPreV4FilesAndIgnoresRemovedKernelKeys) {
   ReproCase repro;
   repro.kind = harness::SystemKind::kRefer;
   repro.scenario = ScenarioFuzzer::generate(7);
-  repro.scenario.app_enabled = false;
-  std::string doc = to_repro_json(repro);
+  std::string doc;
   const auto replace = [&doc](const std::string& from,
                               const std::string& to) {
     const std::size_t at = doc.find(from);
     ASSERT_NE(at, std::string::npos) << from;
     doc.replace(at, from.size(), to);
   };
-  replace("\"repro_version\":4", "\"repro_version\":2");
-  replace("\"routing_policy\":\"greedy\",", "");
-  const std::size_t app_from = doc.find("\"app_enabled\"");
-  const std::size_t app_to = doc.find("\"seed\"");
-  ASSERT_NE(app_from, std::string::npos);
-  ASSERT_NE(app_to, std::string::npos);
-  ASSERT_LT(app_from, app_to);
-  doc.erase(app_from, app_to - app_from);
+  const auto write_doc = [&doc](const std::string& path) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(doc.c_str(), f);
+    std::fclose(f);
+  };
 
-  const std::string path = temp_path("verify_v2_compat.json");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs(doc.c_str(), f);
-  std::fclose(f);
-  const auto loaded = load_repro(path);
-  ASSERT_TRUE(loaded.has_value()) << doc;
-  const harness::Scenario defaults;
-  EXPECT_FALSE(loaded->scenario.app_enabled);
-  EXPECT_EQ(loaded->scenario.app_event_period_s,
-            defaults.app_event_period_s);
-  EXPECT_EQ(loaded->scenario.app_keepalive_miss_limit,
-            defaults.app_keepalive_miss_limit);
-  EXPECT_TRUE(loaded->scenario.app_fault_schedule.empty());
-  // Every non-app field survived the round trip.
-  EXPECT_EQ(loaded->scenario.seed, repro.scenario.seed);
-  EXPECT_EQ(loaded->scenario.n_sensors, repro.scenario.n_sensors);
-  EXPECT_EQ(loaded->scenario.measure_s, repro.scenario.measure_s);
-  std::remove(path.c_str());
+  // A v2 or v3 stamp is rejected with the version message, even on an
+  // otherwise complete document.
+  const std::string old_path = temp_path("verify_old_version.json");
+  for (const int version : {2, 3}) {
+    doc = to_repro_json(repro);
+    replace("\"repro_version\":4",
+            "\"repro_version\":" + std::to_string(version));
+    write_doc(old_path);
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(load_repro(old_path).has_value()) << doc;
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "has version " + std::to_string(version) + ", expected 4"),
+              std::string::npos)
+        << version;
+  }
+  std::remove(old_path.c_str());
 
   // A v4 file from before the kernel toggles were removed still carries
   // the event-queue, spatial-index and neighbor-cache keys.  It must
   // load -- the keys are ignored, every other field survives -- and
   // replay.
-  ReproCase v4;
-  v4.kind = harness::SystemKind::kRefer;
-  v4.scenario = ScenarioFuzzer::generate(7);
-  doc = to_repro_json(v4);
+  doc = to_repro_json(repro);
   replace("\"routing_policy\"",
           "\"spatial_index\":false,\"neighbor_cache\":false,"
           "\"routing_policy\"");
   replace("\"timeline_bucket_s\"",
           "\"legacy_event_queue\":true,\"timeline_bucket_s\"");
   const std::string v4_path = temp_path("verify_v4_queue_toggle.json");
-  f = std::fopen(v4_path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs(doc.c_str(), f);
-  std::fclose(f);
+  write_doc(v4_path);
   const auto replayable = load_repro(v4_path);
   ASSERT_TRUE(replayable.has_value()) << doc;
-  EXPECT_EQ(to_repro_json(*replayable), to_repro_json(v4));
+  EXPECT_EQ(to_repro_json(*replayable), to_repro_json(repro));
   const std::string trace = temp_path("verify_v4_queue_toggle.jsonl");
   const std::vector<Violation> replayed =
       run_case(replayable->kind, replayable->scenario, trace);
@@ -280,6 +270,106 @@ TEST(Repro, RejectsNumbersThatAreNotIntegersOfTheFieldsType) {
                   key + ": expected an integer"),
               std::string::npos)
         << key;
+  }
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------------- Scenario field table
+
+/// One field as exact text: doubles in hex, so "equal" means bit-equal.
+template <typename T>
+std::string field_text(const T& v) {
+  if constexpr (std::is_same_v<T, double>) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return v ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return "\"" + v + "\"";
+  } else if constexpr (std::is_same_v<T, harness::RoutingPolicy>) {
+    return harness::to_string(v);
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(v);
+  } else {  // harness::SeedField
+    return std::to_string(v.value);
+  }
+}
+
+/// Every for_each_field entry as "key=text", so two scenarios compare on
+/// the whole table without a hand-kept field list.
+std::vector<std::string> field_texts(const harness::Scenario& sc) {
+  std::vector<std::string> out;
+  harness::for_each_field(sc, [&out](const char* key, const auto& field) {
+    out.push_back(std::string(key) + "=" + field_text(field));
+  });
+  return out;
+}
+
+/// A results-document node read back as the field's C++ type, then as
+/// field_text; a node of the wrong JSON kind reads as a marker.
+template <typename T>
+std::string node_text(const analysis::JsonNode& node, const T&) {
+  using Kind = analysis::JsonNode::Kind;
+  if constexpr (std::is_same_v<T, std::string>) {
+    return node.kind == Kind::kString ? field_text(node.str) : "<kind>";
+  } else if constexpr (std::is_same_v<T, harness::RoutingPolicy>) {
+    return node.kind == Kind::kString ? node.str : "<kind>";
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return node.kind == Kind::kBool ? field_text(node.boolean) : "<kind>";
+  } else if constexpr (std::is_same_v<T, double>) {
+    return node.kind == Kind::kNumber ? field_text(node.number) : "<kind>";
+  } else {
+    static_assert(std::is_integral_v<T>);
+    return node.kind == Kind::kNumber
+               ? field_text(static_cast<T>(node.number))
+               : "<kind>";
+  }
+}
+
+/// The seed's digits exactly as the results document spells them: a
+/// double (what parse_json_doc keeps) cannot hold seeds past 2^53.
+std::string scenario_seed_text(const std::string& doc) {
+  const std::string key = "\"seed\":";
+  const std::size_t at = doc.find(key, doc.find("\"scenario\":{"));
+  if (at == std::string::npos) return "<missing>";
+  const std::size_t from = at + key.size();
+  return doc.substr(from, doc.find_first_of(",}", from) - from);
+}
+
+TEST(ScenarioFieldTable, ReproAndResultsRoundTripFuzzedScenarios) {
+  const std::string path = temp_path("verify_field_table.json");
+  for (std::uint64_t i = 1; i <= 100; ++i) {
+    harness::Scenario sc = ScenarioFuzzer::generate(i);
+    if (i % 20 == 0) sc.seed = (1ULL << 53) + 2 * i + 1;  // needs exact text
+
+    ReproCase repro{harness::SystemKind::kKautzOverlay, sc,
+                    "case " + std::to_string(i)};
+    ASSERT_TRUE(write_repro(path, repro));
+    const auto loaded = load_repro(path);
+    ASSERT_TRUE(loaded.has_value()) << i;
+    EXPECT_EQ(field_texts(loaded->scenario), field_texts(sc)) << i;
+
+    runner::ResultsWriter writer;
+    writer.set_scenario(sc);
+    const std::string text = writer.to_json();
+    const auto doc = analysis::parse_json_doc(text);
+    ASSERT_TRUE(doc.has_value()) << i;
+    const analysis::JsonNode* block = doc->find("scenario");
+    ASSERT_NE(block, nullptr);
+    const harness::Scenario& written = sc;
+    harness::for_each_field(written, [&](const char* key, const auto& field) {
+      const analysis::JsonNode* node = block->find(key);
+      ASSERT_NE(node, nullptr) << key;
+      using Seed = harness::SeedField<const std::uint64_t>;
+      if constexpr (std::is_same_v<std::decay_t<decltype(field)>, Seed>) {
+        EXPECT_EQ(node->kind, analysis::JsonNode::Kind::kNumber);
+        EXPECT_EQ(scenario_seed_text(text), field_text(field)) << i;
+      } else {
+        EXPECT_EQ(node_text(*node, field), field_text(field))
+            << i << " " << key;
+      }
+    });
   }
   std::remove(path.c_str());
 }

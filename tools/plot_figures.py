@@ -131,8 +131,8 @@ def plot(path: pathlib.Path) -> pathlib.Path:
     return dest
 
 
-# Per-bucket series plotted from a v4 results document, with y-axis
-# labels.  qos_kbps also exists on v3 documents via the scenario bucket.
+# Per-bucket series plotted from a results document's timeseries, with
+# y-axis labels.
 TIMESERIES_METRICS = [
     ("qos_kbps", "QoS throughput (kbit/s)"),
     ("delivery_ratio", "delivery ratio"),
@@ -201,26 +201,20 @@ def render_lines(dest: pathlib.Path, x_label, y_label, series):
 
 
 def plot_timeseries(path: pathlib.Path):
-    """One SVG per TIMESERIES_METRICS entry from a results JSON (v4
-    `timeseries` section; v3 qos_timeline_kbps plots throughput only)."""
+    """One SVG per TIMESERIES_METRICS entry from a results JSON (the
+    per-job `timeseries` section, schema v4 and later)."""
     doc = json.loads(path.read_text())
     jobs = doc.get("jobs_run", [])
-    scenario_bucket = doc.get("scenario", {}).get("timeline_bucket_s", 0)
     outs, skipped = [], 0
     for key, y_label in TIMESERIES_METRICS:
         series = {}
         for job in jobs:
             if job.get("rep", 0) != 0:
                 continue  # one rep per (system, x): reps are re-seeds
-            metrics = job.get("metrics", {})
-            ts = metrics.get("timeseries")
-            if ts is not None and key in ts:
-                ys, bucket, t0 = ts[key], ts["bucket_s"], ts["start_s"]
-            elif key == "qos_kbps" and metrics.get("qos_timeline_kbps"):
-                ys, bucket, t0 = (metrics["qos_timeline_kbps"],
-                                  scenario_bucket, 0.0)  # v3 back-compat
-            else:
+            ts = job.get("metrics", {}).get("timeseries")
+            if ts is None or key not in ts:
                 continue
+            ys, bucket, t0 = ts[key], ts["bucket_s"], ts["start_s"]
             if not ys or not bucket:
                 continue
             if len(series) >= MAX_TIMELINE_SERIES:

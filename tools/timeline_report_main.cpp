@@ -2,7 +2,7 @@
 //
 //   timeline_report [--strict] [--dip-frac F] <results.json>...
 //
-// Reads the flight-recorder timeseries out of each schema v3/v4 results
+// Reads the flight-recorder timeseries out of each schema v4..v6 results
 // JSON (runner/results_writer) and reports, per job: the warmup ramp,
 // saturation knees (throughput plateaus while the MAC queue wait keeps
 // growing), and recovery dips (throughput or app-loop completion
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     const auto doc = refer::analysis::load_timeline_doc(text);
     if (!doc) {
       std::fprintf(stderr,
-                   "timeline_report: %s is not a schema v3+ results "
+                   "timeline_report: %s is not a schema v4..v6 results "
                    "document\n",
                    path.c_str());
       return 2;

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "verify/fuzzer.hpp"
 #include "verify/repro.hpp"
 #include "verify/shrink.hpp"
@@ -37,8 +38,10 @@ void print_fuzz_usage(std::FILE* out) {
       "exit: 0 all cases clean, 1 violations found, 2 usage error\n");
 }
 
-/// Strict flag parsing, same contract as bench_common.hpp: unknown flag
-/// or missing value prints usage and exits 2.
+/// Strict flag parsing, same contract and value parsers as
+/// bench_common.hpp: an unknown flag, a missing value or a value out of
+/// range (--seeds >= 1, --jobs / --plant >= 0, --seed any uint64,
+/// --budget-s finite and > 0) exits 2.
 struct FuzzArgs {
   FuzzOptions options;
   std::string repro_path = "repro.json";
@@ -61,15 +64,17 @@ FuzzArgs parse_fuzz_args(int argc, char** argv) {
       print_fuzz_usage(stdout);
       std::exit(0);
     } else if (flag == "--seeds") {
-      args.options.seeds = std::atoi(need_value(i++));
+      args.options.seeds = bench::integer_value(flag, need_value(i++), 1);
     } else if (flag == "--seed") {
-      args.options.base_seed = std::strtoull(need_value(i++), nullptr, 10);
+      args.options.base_seed =
+          bench::integer_value(flag, need_value(i++), std::uint64_t{0});
     } else if (flag == "--budget-s") {
-      args.options.budget_s = std::atof(need_value(i++));
+      args.options.budget_s = bench::positive_value(flag, need_value(i++));
     } else if (flag == "--jobs") {
-      args.options.jobs = std::atoi(need_value(i++));
+      args.options.jobs = bench::integer_value(flag, need_value(i++), 0);
     } else if (flag == "--plant") {
-      args.options.planted_bug = std::atoi(need_value(i++));
+      args.options.planted_bug =
+          bench::integer_value(flag, need_value(i++), 0);
     } else if (flag == "--app-faults") {
       args.options.force_app = true;
     } else if (flag == "--dir") {
