@@ -41,16 +41,13 @@
 // experiment.
 #pragma once
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/cli_values.hpp"
 #include "harness/experiment.hpp"
 #include "runner/parallel_executor.hpp"
 #include "runner/results_writer.hpp"
@@ -67,48 +64,17 @@ struct BenchOptions {
 };
 
 [[noreturn]] inline void usage_error(const std::string& message) {
-  std::fprintf(stderr, "referbench: %s (try 'referbench --help')\n",
-               message.c_str());
-  std::exit(2);
+  cli::usage_error("referbench", message);
 }
 
-/// Flag-value parsers shared by parse_options below and `referbench
-/// fuzz`: each returns the value of `raw` or exits 2 naming `flag`.
-/// numeric_value wants a finite real number -- nan / inf / 1e999 would
-/// run a meaningless experiment that still exits 0.
-inline double numeric_value(const std::string& flag, const char* raw) {
-  char* end = nullptr;
-  const double v = std::strtod(raw, &end);
-  if (end == raw || *end != '\0') {
-    usage_error(flag + ": not a number: '" + raw + "'");
-  }
-  if (!std::isfinite(v)) {
-    usage_error(flag + ": not a finite number: '" + raw + "'");
-  }
-  return v;
-}
-
-/// A finite real number > 0 (durations, rates).
+/// The shared flag-value parsers (common/cli_values.hpp), reporting as
+/// referbench: parse_options below and `referbench fuzz` use these.
 inline double positive_value(const std::string& flag, const char* raw) {
-  const double v = numeric_value(flag, raw);
-  if (!(v > 0)) {
-    usage_error(flag + ": expected a number > 0, got '" + raw + "'");
-  }
-  return v;
+  return cli::positive_value("referbench", flag, raw);
 }
-
-/// Integral flags parse exactly (through a double, seeds past 2^53
-/// would lose bits) and must be whole numbers >= min that fit the type.
 template <typename Int>
 Int integer_value(const std::string& flag, const char* raw, Int min) {
-  (void)numeric_value(flag, raw);  // non-numbers keep that error
-  Int v{};
-  const auto [ptr, ec] = std::from_chars(raw, raw + std::strlen(raw), v);
-  if (ec != std::errc() || *ptr != '\0' || v < min) {
-    usage_error(flag + ": expected a whole number >= " +
-                std::to_string(min) + ", got '" + raw + "'");
-  }
-  return v;
+  return cli::integer_value("referbench", flag, raw, min);
 }
 
 /// Strict flag parser: exits with code 2 on an unknown flag, a flag

@@ -4,11 +4,23 @@
 #include <cmath>
 
 #include "analysis/json_doc.hpp"
+#include "common/cli_values.hpp"
 #include "runner/schema_version.hpp"
 
 namespace refer::analysis {
 
 namespace {
+
+constexpr const char* kProgram = "timeline_report";
+
+void print_usage(std::FILE* out) {
+  std::fprintf(
+      out,
+      "usage: timeline_report [--strict] [--dip-frac F] <results.json>...\n"
+      "  --strict      exit 1 when any anomaly (knee or dip) is found\n"
+      "  --dip-frac F  dip threshold as a fraction of the steady median "
+      "(default: 0.7)\n");
+}
 
 /// Median of the non-negative entries (negative = missing data); 0 when
 /// nothing remains.
@@ -317,6 +329,33 @@ int print_timeline_report(std::FILE* out, const TimelineDoc& doc,
                options.strict && report.anomaly_count ? " (strict: FAIL)"
                                                       : "");
   return options.strict && report.anomaly_count ? 1 : 0;
+}
+
+ReportCommand parse_report_command(int argc, char** argv) {
+  ReportCommand cmd;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--strict") {
+      cmd.options.strict = true;
+    } else if (arg == "--dip-frac") {
+      if (i + 1 >= argc) cli::usage_error(kProgram, arg + " requires a value");
+      const char* raw = argv[++i];
+      cmd.options.dip_frac = cli::numeric_value(kProgram, arg, raw);
+      if (!(cmd.options.dip_frac > 0 && cmd.options.dip_frac < 1)) {
+        cli::usage_error(kProgram, arg + ": expected a number in (0, 1), got '" +
+                                       raw + "'");
+      }
+    } else if (arg == "--help" || arg == "-h") {
+      print_usage(stdout);
+      std::exit(0);
+    } else if (!arg.empty() && arg[0] == '-') {
+      cli::usage_error(kProgram, "unknown flag: " + arg);
+    } else {
+      cmd.files.push_back(arg);
+    }
+  }
+  if (cmd.files.empty()) cli::usage_error(kProgram, "no results file given");
+  return cmd;
 }
 
 }  // namespace refer::analysis

@@ -116,6 +116,19 @@ struct ReportOptions {
   bool strict = false;    ///< non-zero exit on any anomaly
 };
 
+/// timeline_report's command line: `[--strict] [--dip-frac F]
+/// <results.json>...`.
+struct ReportCommand {
+  ReportOptions options;
+  std::vector<std::string> files;
+};
+
+/// Parses timeline_report's arguments (argv[0] is the program).  Prints
+/// the usage and exits 0 on --help; exits 2 on an unknown flag, a
+/// missing value, no input file, or a --dip-frac that is not wholly a
+/// number strictly between 0 and 1.
+[[nodiscard]] ReportCommand parse_report_command(int argc, char** argv);
+
 /// Everything found in one job's series.
 struct SeriesFindings {
   std::size_t job = 0;  ///< index into TimelineDoc::jobs

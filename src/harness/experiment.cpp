@@ -381,7 +381,9 @@ class Driver {
     st.counter("world.neighbor_cache.hits").set(ns.hits);
     st.counter("world.neighbor_cache.rebuilds").set(ns.rebuilds);
     st.counter("world.neighbor_cache.invalidations").set(ns.invalidations);
-    st.counter("world.neighbor_cache.skipped_fills").set(ns.skipped_fills);
+    st.counter("world.neighbor_cache.candidates_walked")
+        .set(ns.candidates_walked);
+    st.counter("world.neighbor_cache.exact_checks").set(ns.exact_checks);
     for (const auto& [node, airtime] : dep_->channel.busiest_nodes(5)) {
       st.counter("node." + std::to_string(node) + ".airtime_us")
           .set(static_cast<std::uint64_t>(airtime * 1e6));

@@ -5,7 +5,6 @@ namespace refer::sim {
 void NeighborCache::reset(std::size_t n) {
   n_ = n;
   tables_.clear();
-  tables_.reserve(kMaxRangeClasses);
   invalidate();
 }
 
@@ -19,9 +18,6 @@ NeighborCache::Table* NeighborCache::table_for(double range) {
   t.begin.resize(n_, 0);
   t.len.resize(n_, 0);
   t.stamp.resize(n_, 0);
-  t.row_hits.resize(n_, 0);
-  t.skip_epoch.resize(n_, 0);
-  t.skips.resize(n_, 0);
   return &t;
 }
 

@@ -14,10 +14,11 @@
 // range, actuator range, and any range_override such as flooding's
 // query_tx_range).  Each table is CSR-shaped: per-node (begin, len)
 // offsets into one shared append-only pool of NodeIds, rows stored in
-// ascending id order.  Rows for different nodes share the pool, so a
-// table's steady-state footprint is O(sum of row lengths) and rebuilding
-// a row after an invalidation reuses the pool's capacity -- no
-// steady-state allocations (pinned by a counting-operator-new test).
+// ascending id order, plus a parallel pool of each candidate's binned
+// anchor.  Rows for different nodes share the pool, so a table's
+// steady-state footprint is O(sum of row lengths) and rebuilding a row
+// after an invalidation reuses the pool's capacity -- no steady-state
+// allocations (pinned by a counting-operator-new test).
 //
 // Correctness rides the SpatialIndex validity deadlines.  The index
 // guarantees every binned position is at most `slack` metres stale at
@@ -25,33 +26,32 @@
 // about to expire for some node.  The cache therefore keys validity on a
 // single global epoch: any re-bin (or full rebuild) bumps it, and a row
 // stamped with an older epoch is a miss.  Within one epoch the querying
-// node and any true neighbour have each drifted at most `slack` from the
-// positions the row was built against, so a row built from
-// collect(p, r + 2*slack) -- collect() itself adds a third slack for
-// binned-position staleness -- remains a *superset* of the true in-range
-// set for every query it serves.  The caller's exact per-candidate check
-// (alive + within_range on live positions, ascending id order) then
-// yields results bit-identical to the uncached scan.  Liveness flips
-// need no invalidation at all: dead nodes stay binned and are filtered
-// by the exact pass, exactly as on the uncached path.
+// node and every candidate each stay within `slack` of their anchors, so
+// two nodes in range r of each other have anchors at most r + 2*slack
+// apart.  World builds a row around the *owner's anchor*:
+// collect(anchor(from), r + slack), and collect() adds the second slack.
+// That is exactly the set that can come into range before the next
+// re-bin, a *superset* of the true in-range set for every query the row
+// serves.  World's exact per-candidate check (alive + within_range on
+// live positions, ascending id order) then yields results bit-identical
+// to the uncached scan.  Liveness flips need no invalidation at all:
+// dead nodes stay binned and are filtered by the walk, exactly as on the
+// uncached path.
 //
-// The superset would make cached walks *slower* than uncached queries if
-// every candidate still needed its live position evaluated: the row is
-// ~(1 + 2*slack/r)^2 wider in area than an uncached candidate set, and
-// the per-candidate waypoint interpolation dominates walk cost.  So each
-// row also stores every candidate's binned anchor.  Within the epoch a
-// candidate's live position stays within `slack` of its anchor, giving
-// the walk a two-sided shortcut on the cheap anchor distance d:
+// The stored anchors let the walk settle most candidates without their
+// live positions: within the epoch a candidate's live position stays
+// within `slack` of its anchor, so for the anchor distance d from the
+// querying node's live position,
 //   d > r + slack  =>  certainly out of range, skip;
 //   d < r - slack  =>  certainly in range, accept;
-// only the thin annulus in between needs the exact live-position check.
-// Both bands carry a small epsilon so floating-point edge cases fall
-// through to the exact check rather than trusting the bound to the ulp.
+// only the annulus in between needs the exact live-position check
+// (World::walk_row).
 //
-// Row storage is read back through (pool, index) pairs rather than raw
-// pointers: a query handler may re-enter visit_reachable (flooding does),
-// and the nested miss may append to the same pool, relocating its heap
-// buffer.  Indices survive that; pointers would dangle.
+// A Row is a pair of raw pointers into a table's pools, valid until the
+// next store(): a store may append to the pool (relocating it) or
+// recycle it.  World's walk copies what it needs out of the row before
+// it calls any handler, so a handler that re-enters visit_reachable
+// (flooding does) and misses cannot invalidate a walk in progress.
 #pragma once
 
 #include <cstddef>
@@ -66,19 +66,15 @@ class NeighborCache {
  public:
   /// Distinct query radii cached simultaneously.  Workloads use two or
   /// three (sensor range, actuator range, flooding's query_tx_range);
-  /// radii beyond the cap are served uncached rather than evicting.
+  /// a radius beyond the cap gets its row built into a spill table that
+  /// holds one row at a time, so every query still walks a row.
   static constexpr std::size_t kMaxRangeClasses = 8;
 
-  /// A view of one cached row.  `pool` is the owning table's id pool (or
-  /// the caller's own buffer when the range class overflowed the cap);
-  /// elements are pool[begin] .. pool[begin + len - 1], ascending ids.
-  /// `anchors` runs parallel to `pool` with each candidate's binned
-  /// position, or is null on range-class overflow (the caller then skips
-  /// the anchor prefilter and exact-checks every candidate).
+  /// A view of one row: `len` ascending ids and their binned anchors.
+  /// Valid until the next store() (see the file comment).
   struct Row {
-    const std::vector<NodeId>* pool = nullptr;
-    const std::vector<Point>* anchors = nullptr;
-    std::uint32_t begin = 0;
+    const NodeId* ids = nullptr;
+    const Point* anchors = nullptr;
     std::uint32_t len = 0;
   };
 
@@ -87,7 +83,8 @@ class NeighborCache {
     std::uint64_t hits = 0;           ///< queries served from a cached row
     std::uint64_t rebuilds = 0;       ///< rows (re)built from the grid
     std::uint64_t invalidations = 0;  ///< epoch bumps (re-bins + rebuilds)
-    std::uint64_t skipped_fills = 0;  ///< misses served uncached (heuristic)
+    std::uint64_t candidates_walked = 0;  ///< row entries the walks read
+    std::uint64_t exact_checks = 0;   ///< live positions the walks evaluated
   };
 
   /// New node universe (full index rebuild / node added).  Drops every
@@ -106,15 +103,13 @@ class NeighborCache {
   /// True when `id` has a current-epoch row for range class `range`;
   /// fills `out` with a view of it.
   [[nodiscard]] bool lookup(NodeId id, double range, Row& out) noexcept {
-    for (Table& t : tables_) {
+    for (const Table& t : tables_) {
       if (t.range == range) {
         const auto slot = static_cast<std::size_t>(id);
         if (t.stamp[slot] != epoch_) return false;
-        out.pool = &t.pool;
-        out.anchors = &t.apool;
-        out.begin = t.begin[slot];
+        out.ids = t.pool.data() + t.begin[slot];
+        out.anchors = t.apool.data() + t.begin[slot];
         out.len = t.len[slot];
-        if (t.row_hits[slot] < 255) ++t.row_hits[slot];
         ++stats_.hits;
         return true;
       }
@@ -122,85 +117,43 @@ class NeighborCache {
     return false;
   }
 
-  /// Refill gate: hits the last build must have collected for its next
-  /// rebuild to be worth paying for eagerly.  A build costs roughly two
-  /// plain grid scans (the collect radius is widened by two slack
-  /// budgets, and the sorted ids plus their anchors are copied into the
-  /// pools) while a hit saves most of one scan, so one hit per build --
-  /// exactly what a broadcast produces, its CSMA medium scan filling the
-  /// row and its receiver materialisation consuming it -- never pays the
-  /// build back.  Two hits break even; beyond that the cache wins.
-  static constexpr std::uint8_t kRefillHitThreshold = 2;
-
-  /// Cheap staleness heuristic, consulted on a lookup miss before paying
-  /// for a rebuild.  Rows whose previous build amortised (>= threshold
-  /// hits before the epoch killed it) refill eagerly.  Cold rows -- the
-  /// one-broadcast-per-node-per-epoch shape behind the
-  /// BM_BroadcastReceivers_Cache n=4000 regression -- are served straight
-  /// from the grid instead: returns false and charges skipped_fills.  At
-  /// most two misses per row per epoch are skipped; a third miss in one
-  /// epoch is proof of real reuse, so filling resumes (and the hits that
-  /// build then collects decide the next epoch eagerly).  Purely a
-  /// performance decision -- the uncached scan is exact, so results are
-  /// bit-identical either way.
-  [[nodiscard]] bool should_fill(NodeId id, double range) noexcept {
-    for (Table& t : tables_) {
-      if (t.range != range) continue;
-      const auto slot = static_cast<std::size_t>(id);
-      if (t.stamp[slot] == 0) return true;  // never built: no history
-      if (t.row_hits[slot] >= kRefillHitThreshold) return true;
-      if (t.skip_epoch[slot] != epoch_) {
-        t.skip_epoch[slot] = epoch_;
-        t.skips[slot] = 1;
-      } else if (t.skips[slot] >= 2) {
-        return true;  // third miss this epoch: reuse is real again
-      } else {
-        ++t.skips[slot];
-      }
-      ++stats_.skipped_fills;
-      return false;
-    }
-    return true;  // new range class: no history to judge, build the row
-  }
-
   /// Records `ids` (ascending, unique) as `id`'s row for range class
   /// `range` and returns a view of the stored copy.  `anchor_of(nid)`
   /// must return the candidate's binned anchor position (the prefilter
-  /// contract above); World passes SpatialIndex::anchor.  When the
-  /// range-class cap is hit the row is not stored and the view aliases
-  /// `ids` itself with null `anchors` -- the caller's buffer must outlive
-  /// the returned Row either way.
+  /// contract above); World passes SpatialIndex::anchor.
   template <typename AnchorFn>
   Row store(NodeId id, double range, const std::vector<NodeId>& ids,
             AnchorFn&& anchor_of) {
     ++stats_.rebuilds;
-    Row row;
-    row.len = static_cast<std::uint32_t>(ids.size());
     Table* t = table_for(range);
-    if (!t) {
-      // Range-class overflow: serve this query from the caller's buffer.
-      row.pool = &ids;
-      return row;
-    }
-    if (t->pool_epoch != epoch_) {
+    const bool spill = t == nullptr;
+    if (spill) t = &spill_;
+    if (spill || t->pool_epoch != epoch_) {
       // First row of a new epoch: every old row is dead, recycle the
       // pools (capacity is kept, so steady-state rebuilds allocate
-      // nothing).
+      // nothing).  The spill table keeps only the row being stored.
       t->pool.clear();
       t->apool.clear();
       t->pool_epoch = epoch_;
     }
-    row.begin = static_cast<std::uint32_t>(t->pool.size());
+    const auto begin = static_cast<std::uint32_t>(t->pool.size());
+    const auto len = static_cast<std::uint32_t>(ids.size());
     t->pool.insert(t->pool.end(), ids.begin(), ids.end());
     for (const NodeId nid : ids) t->apool.push_back(anchor_of(nid));
-    const auto slot = static_cast<std::size_t>(id);
-    t->begin[slot] = row.begin;
-    t->len[slot] = row.len;
-    t->stamp[slot] = epoch_;
-    t->row_hits[slot] = 0;  // should_fill judges this build by its hits
-    row.pool = &t->pool;
-    row.anchors = &t->apool;
-    return row;
+    if (!spill) {
+      const auto slot = static_cast<std::size_t>(id);
+      t->begin[slot] = begin;
+      t->len[slot] = len;
+      t->stamp[slot] = epoch_;
+    }
+    return Row{t->pool.data() + begin, t->apool.data() + begin, len};
+  }
+
+  /// Charges one walk: `candidates` row entries read, `exact` of them
+  /// needing a live-position check.  Per walk, not per candidate.
+  void count_walk(std::uint32_t candidates, std::uint32_t exact) noexcept {
+    stats_.candidates_walked += candidates;
+    stats_.exact_checks += exact;
   }
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -212,18 +165,16 @@ class NeighborCache {
     std::vector<std::uint32_t> begin;  ///< per-node row offset into pool
     std::vector<std::uint32_t> len;    ///< per-node row length
     std::vector<std::uint64_t> stamp;  ///< per-node build epoch (0 = never)
-    std::vector<std::uint8_t> row_hits;  ///< hits on the node's last build
-    std::vector<std::uint64_t> skip_epoch;  ///< epoch of the last skipped fill
-    std::vector<std::uint8_t> skips;   ///< fills skipped within skip_epoch
     std::vector<NodeId> pool;          ///< shared row storage, append-only
     std::vector<Point> apool;          ///< candidate anchors, parallel to pool
   };
 
+  /// The table of range class `range`, created on first use; null when
+  /// kMaxRangeClasses other classes already exist.
   Table* table_for(double range);
 
-  // reserve()d to kMaxRangeClasses in reset(): Row::pool points into a
-  // Table, so tables_ must never relocate while rows are live.
   std::vector<Table> tables_;
+  Table spill_;  ///< overflow range classes: one row, never looked up
   std::uint64_t epoch_ = 1;  ///< starts above the stamp default of 0
   std::size_t n_ = 0;
   Stats stats_;

@@ -8,33 +8,42 @@
 namespace refer::sim {
 namespace {
 
-/// Staleness budget as a fraction of the max transmission range.  Larger
-/// slack means fewer re-bins but a wider candidate ring; the ring cost is
-/// paid on every query and re-bins only per drifted leg, so a small 5%
-/// keeps the prefilter tight.
-constexpr double kSlackFraction = 0.05;
+/// Staleness budget as a fraction of the smallest positive transmission
+/// range: the radius of the commonest queries (sensor CSMA scans and
+/// broadcasts).  Slack is paid in every row walk: a row covers
+/// r + 2*slack around its owner's anchor, and the anchor shortcut leaves
+/// an annulus 2*slack wide for exact checks.  A smaller slack re-bins
+/// sooner (every slack / v_max seconds), and each re-bin ends a cache
+/// epoch.  A jobbench sweep of 1/8 .. 1/64 (EXPERIMENTS.md, "Tight
+/// neighbour rows") found 1/8 slowest at saturation and churn, and no
+/// smaller fraction faster than 1/16 beyond noise on all three
+/// workloads; 1/16 of the 100 m sensor range is 6.25 m.
+constexpr double kSlackFraction = 1.0 / 16;
 
 }  // namespace
 
 NodeId World::add_node(Node node) {
+  // walk_row packs an id and a flag into one NodeId as id << 1 | flag.
+  assert(nodes_.size() < (std::size_t{1} << 30));
   nodes_.push_back(std::move(node));
+  alive_.push_back(1);
   index_dirty_ = true;
   for (const auto& [token, fn] : size_listeners_) fn(nodes_.size());
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
 NodeId World::add_actuator(Point pos, double range) {
-  return add_node(Node{NodeKind::kActuator, range, true, Waypoint(pos)});
+  return add_node(Node{NodeKind::kActuator, range, Waypoint(pos)});
 }
 
 NodeId World::add_sensor(Point pos, double range, double min_speed,
                          double max_speed, Rng rng) {
-  return add_node(Node{NodeKind::kSensor, range, true,
+  return add_node(Node{NodeKind::kSensor, range,
                        Waypoint(pos, area_, min_speed, max_speed, rng)});
 }
 
 NodeId World::add_static_sensor(Point pos, double range) {
-  return add_node(Node{NodeKind::kSensor, range, true, Waypoint(pos)});
+  return add_node(Node{NodeKind::kSensor, range, Waypoint(pos)});
 }
 
 NodeKind World::kind(NodeId id) const {
@@ -54,18 +63,18 @@ Point World::position(NodeId id) {
 
 bool World::alive(NodeId id) const {
   assert(id >= 0 && static_cast<std::size_t>(id) < nodes_.size());
-  return nodes_[static_cast<std::size_t>(id)].alive;
+  return alive_[static_cast<std::size_t>(id)] != 0;
 }
 
 void World::set_alive(NodeId id, bool alive) {
   assert(id >= 0 && static_cast<std::size_t>(id) < nodes_.size());
-  auto& node = nodes_[static_cast<std::size_t>(id)];
-  if (node.alive != alive && tracer_ && tracer_->enabled()) {
+  std::uint8_t& flag = alive_[static_cast<std::size_t>(id)];
+  if ((flag != 0) != alive && tracer_ && tracer_->enabled()) {
     tracer_->emit(frame_record(
         sim_->now(), alive ? TraceEvent::kNodeUp : TraceEvent::kNodeDown, id,
         -1, 0, EnergyBucket::kMaintenance));
   }
-  node.alive = alive;
+  flag = alive ? 1 : 0;
 }
 
 bool World::can_reach(NodeId from, NodeId to) {
@@ -129,9 +138,11 @@ void World::rebuild_index(Time now) {
   index_dirty_ = false;
   ncache_.reset(nodes_.size());
   double max_range = 0;
+  double min_range = std::numeric_limits<double>::infinity();
   double max_speed = 0;
   for (const Node& n : nodes_) {
     max_range = std::max(max_range, n.range);
+    if (n.range > 0) min_range = std::min(min_range, n.range);
     max_speed = std::max(max_speed, n.motion.max_speed());
   }
   index_usable_ = !nodes_.empty() && max_range > 0;
@@ -145,7 +156,7 @@ void World::rebuild_index(Time now) {
   // bounds the grid at 64x64 cells for sparse wide-area deployments.
   const double side = std::max(area_.width(), area_.height());
   const double cell = std::max(max_range / 4.0, side / 64.0);
-  const double slack = max_range * kSlackFraction;
+  const double slack = min_range * kSlackFraction;
   index_.start_build(area_, cell, slack, max_speed, nodes_.size());
   actuator_index_.start_build(area_, max_range, /*slack=*/0, /*max_speed=*/0,
                               nodes_.size());
@@ -176,6 +187,20 @@ void World::bin_node(NodeId id, Time now) {
   }
   index_.update(id, p, valid_until, now);
   index_stats_.rebins += 1;
+}
+
+NeighborCache::Row World::build_row(NodeId from, double r,
+                                   std::vector<NodeId>& buf) {
+  // Centred on the owner's anchor: every node that can come within r of
+  // `from` before the next re-bin has its anchor within r + 2*slack of
+  // from's anchor, and collect() adds the second slack itself (see
+  // sim/neighbor_cache.hpp).
+  index_.collect(index_.anchor(from), r + index_.slack(), buf);
+  sort_ids(buf);
+  index_stats_.queries += 1;
+  index_stats_.candidates += buf.size();
+  return ncache_.store(from, r, buf,
+                       [this](NodeId j) { return index_.anchor(j); });
 }
 
 NodeId World::closest_actuator(NodeId id) {
@@ -209,7 +234,7 @@ NodeId World::closest_actuator(NodeId id) {
   double best_d = std::numeric_limits<double>::infinity();
   for (NodeId i = 0; static_cast<std::size_t>(i) < nodes_.size(); ++i) {
     const auto& n = nodes_[static_cast<std::size_t>(i)];
-    if (n.kind != NodeKind::kActuator || !n.alive || i == id) continue;
+    if (n.kind != NodeKind::kActuator || !alive(i) || i == id) continue;
     const double d = distance_sq(p, position(i));
     if (d < best_d) {
       best_d = d;

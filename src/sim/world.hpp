@@ -7,13 +7,16 @@
 // NodeId order and re-checked against exact live positions).
 //
 // On top of the grid sits a NeighborCache (sim/neighbor_cache.hpp): the
-// sorted candidate row of each (node, query radius) pair is remembered
-// and reused until any grid re-bin bumps a global epoch, turning repeat
-// queries -- the CSMA medium scan fires one per transmission -- into a
-// flat array walk.  The exact per-candidate check still runs on live
-// positions, so cached results stay bit-identical too.  Every run uses
-// both; the set_*_enabled(false) reference kernels (linear scan,
-// uncached grid walk) exist for tests and micro_world_bench.
+// sorted candidate row of each (node, query radius) pair, built around
+// the node's binned anchor, is remembered and reused until any grid
+// re-bin bumps a global epoch, turning repeat queries -- the CSMA medium
+// scan fires one per transmission -- into a flat array walk.  The walk
+// (walk_row) runs in two passes: a branch-free compaction of the row by
+// anchor distance and liveness, then exact live-position checks only on
+// the candidates the anchor bound cannot settle, so cached results stay
+// bit-identical too.  Every run uses both; the set_*_enabled(false)
+// reference kernels (linear scan, uncached grid walk) exist for tests
+// and micro_world_bench.
 #pragma once
 
 #include <bit>
@@ -144,50 +147,22 @@ class World {
     const double r = range_override > 0 ? range_override : range(from);
     if (index_enabled_ && ensure_index()) {
       const Time now = sim_->now();
-      if (cache_enabled_) {
-        NeighborCache::Row row;
-        if (ncache_.lookup(from, r, row)) {
-          walk_row(row, from, p, r, now, fn);
-          return;
-        }
-        // Only pay for a row build when the previous build of this row
-        // earned its keep (see NeighborCache::should_fill); a workload
-        // that touches each row once per epoch -- every node broadcasting
-        // between re-bins -- is faster served by the plain scan below.
-        if (ncache_.should_fill(from, r)) {
-          ScratchPool::Lease lease = scratch_.acquire();
-          std::vector<NodeId>& buf = *lease;
-          // A row serves queries until the next re-bin.  Between its
-          // build and its last reuse the querying node and any true
-          // neighbour have each drifted at most `slack` from their
-          // binned anchors (the re-bin IS the moment that bound would
-          // break), so the build widens the radius by two slack budgets
-          // on top of collect()'s own binned-position expansion: the row
-          // stays a superset of every in-range set it serves, and the
-          // exact check in walk_row keeps results bit-identical to the
-          // uncached scan.
-          index_.collect(p, r + 2 * index_.slack(), buf);
-          sort_ids(buf);
-          index_stats_.queries += 1;
-          index_stats_.candidates += buf.size();
-          walk_row(
-              ncache_.store(from, r, buf,
-                            [this](NodeId j) { return index_.anchor(j); }),
-              from, p, r, now, fn);
-          return;
-        }
-      }
       ScratchPool::Lease lease = scratch_.acquire();
       std::vector<NodeId>& buf = *lease;
+      if (cache_enabled_) {
+        NeighborCache::Row row;
+        if (!ncache_.lookup(from, r, row)) row = build_row(from, r, buf);
+        walk_row(row, from, p, r, now, buf, fn);
+        return;
+      }
       index_.collect(p, r, buf);
       sort_ids(buf);
       index_stats_.queries += 1;
       index_stats_.candidates += buf.size();
-      for (NodeId i : buf) {
-        if (i == from) continue;
-        Node& n = nodes_[static_cast<std::size_t>(i)];
-        if (!n.alive) continue;
-        if (within_range(p, n.motion.position_at(now), r)) fn(i);
+      for (const NodeId i : buf) {
+        if (i == from || !alive(i)) continue;
+        Waypoint& motion = nodes_[static_cast<std::size_t>(i)].motion;
+        if (within_range(p, motion.position_at(now), r)) fn(i);
       }
       return;
     }
@@ -228,6 +203,11 @@ class World {
   [[nodiscard]] bool neighbor_cache_enabled() const noexcept {
     return cache_enabled_;
   }
+
+  /// The grid's staleness budget in metres (0 until a query builds the
+  /// index): every binned anchor is within this of its node's live
+  /// position whenever a query runs.
+  [[nodiscard]] double slack() const noexcept { return index_.slack(); }
 
   /// Cache health counters, exported as world.neighbor_cache.*
   /// observability.
@@ -298,53 +278,62 @@ class World {
   struct Node {
     NodeKind kind;
     double range;
-    bool alive = true;
     Waypoint motion;
   };
 
-  /// Exact filter pass shared by the cached fast path: ascending-id
-  /// candidates settled by the anchor shortcut where the slack bound is
-  /// decisive and re-checked against live positions in the remaining
-  /// annulus, so survivors match the uncached scan bit for bit.
-  /// Candidates are read back through
-  /// (pool, index) rather than a raw pointer because `fn` may re-enter
-  /// visit_reachable (flood handlers do) and the nested miss may append
-  /// to the same pool, relocating its storage -- indices survive that.
+  /// Builds (or, past kMaxRangeClasses, spills) `from`'s row for radius
+  /// `r` from the grid, using `buf` as collect scratch.
+  NeighborCache::Row build_row(NodeId from, double r,
+                               std::vector<NodeId>& buf);
+
+  /// Walks one row in two passes, so that results match the uncached
+  /// scan bit for bit.
+  ///
+  /// Pass 1 reads the whole row without a data-dependent branch.  For
+  /// each candidate it computes the anchor distance from the live query
+  /// position p.  Within the epoch a candidate's live position stays
+  /// within slack of its anchor, so that distance settles most of the
+  /// row.  Survivors (within r + slack, alive, not `from`) are
+  /// compacted into `out` as id << 1 | needs-exact, where needs-exact
+  /// marks the annulus the bound cannot settle.  The epsilon keeps
+  /// floating-point edge cases on the exact-check path; it only narrows
+  /// the shortcut bands, never changes results.
+  ///
+  /// Pass 2 evaluates position_at only for flagged entries and calls
+  /// `fn` in ascending id order.  It reads `out`, a leased buffer, never
+  /// the row: `fn` may re-enter visit_reachable (flood handlers do), and
+  /// the nested miss may append to or recycle the row's pool.
   template <typename Fn>
   void walk_row(NeighborCache::Row row, NodeId from, Point p, double r,
-                Time now, Fn&& fn) {
-    if (row.anchors != nullptr) {
-      // Anchor shortcut: within the epoch every candidate's live
-      // position stays within slack of its stored anchor, so the cheap
-      // anchor distance settles all but a thin annulus of candidates
-      // without evaluating their waypoint positions.  The epsilon keeps
-      // floating-point edge cases on the exact-check path; it only
-      // narrows the shortcut bands, never changes results.
-      const double s = index_.slack() + 1e-6;
-      const double reject = (r + s) * (r + s);
-      const double accept = r > s ? (r - s) * (r - s) : -1.0;
-      for (std::uint32_t k = 0; k < row.len; ++k) {
-        const double d2 = distance_sq(p, (*row.anchors)[row.begin + k]);
-        if (d2 > reject) continue;  // out of range even after drift
-        const NodeId i = (*row.pool)[row.begin + k];
-        if (i == from) continue;
-        Node& n = nodes_[static_cast<std::size_t>(i)];
-        if (!n.alive) continue;
-        if (d2 < accept) {  // in range even after drift
-          fn(i);
-          continue;
-        }
-        if (within_range(p, n.motion.position_at(now), r)) fn(i);
-      }
-      return;
-    }
-    // Range-class overflow rows carry no anchors: exact-check everything.
+                Time now, std::vector<NodeId>& out, Fn&& fn) {
+    const double s = index_.slack() + 1e-6;
+    const double reject = (r + s) * (r + s);
+    const double accept = r > s ? (r - s) * (r - s) : -1.0;
+    out.resize(row.len);
+    NodeId* const kept = out.data();
+    const std::uint8_t* const live = alive_.data();
+    std::uint32_t m = 0;
+    std::uint32_t exact = 0;
     for (std::uint32_t k = 0; k < row.len; ++k) {
-      const NodeId i = (*row.pool)[row.begin + k];
-      if (i == from) continue;
-      Node& n = nodes_[static_cast<std::size_t>(i)];
-      if (!n.alive) continue;
-      if (within_range(p, n.motion.position_at(now), r)) fn(i);
+      const NodeId i = row.ids[k];
+      const double d2 = distance_sq(p, row.anchors[k]);
+      const std::uint32_t needs_exact = d2 >= accept;
+      const std::uint32_t keep = static_cast<std::uint32_t>(d2 <= reject) &
+                                 live[static_cast<std::size_t>(i)] &
+                                 static_cast<std::uint32_t>(i != from);
+      kept[m] = (i << 1) | static_cast<NodeId>(needs_exact);
+      m += keep;
+      exact += keep & needs_exact;
+    }
+    ncache_.count_walk(row.len, exact);
+    for (std::uint32_t k = 0; k < m; ++k) {
+      const NodeId i = kept[k] >> 1;
+      if ((kept[k] & 1) == 0) {
+        fn(i);
+        continue;
+      }
+      Waypoint& motion = nodes_[static_cast<std::size_t>(i)].motion;
+      if (within_range(p, motion.position_at(now), r)) fn(i);
     }
   }
 
@@ -361,6 +350,9 @@ class World {
   Tracer* tracer_ = nullptr;
   PhaseProfiler* phases_ = nullptr;
   std::vector<Node> nodes_;
+  /// Liveness, one byte per node: the only copy, dense so walk_row's
+  /// branch-free pass reads it as a mask.
+  std::vector<std::uint8_t> alive_;
 
   bool index_enabled_ = true;
   bool index_dirty_ = true;

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "app/fault_schedule.hpp"
 #include "common/rng.hpp"
@@ -134,6 +136,10 @@ std::string resolve_trace_dir(const std::string& requested) {
 
 FuzzSummary run_fuzz(const FuzzOptions& options,
                      const std::function<void(int, int)>& progress) {
+  if (options.planted_bug != 0 && !find_planted_bug(options.planted_bug)) {
+    throw std::invalid_argument("run_fuzz: no planted bug " +
+                                std::to_string(options.planted_bug));
+  }
   const auto t0 = std::chrono::steady_clock::now();
   const std::string dir = resolve_trace_dir(options.trace_dir);
   runner::ParallelExecutor executor(options.jobs);

@@ -17,6 +17,7 @@
 // JSONL trace; clean traces are deleted, failing ones kept for triage.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -42,12 +43,39 @@ class ScenarioFuzzer {
                                               harness::Scenario scenario,
                                               const std::string& trace_path);
 
+/// A bug the engine can plant on purpose (Scenario::planted_bug) to
+/// prove that its checks catch a real divergence.  The one list of them:
+/// `referbench fuzz --plant`, its --help and run_fuzz all read it.
+struct PlantedBug {
+  int id;
+  const char* site;    ///< the code path the bug corrupts
+  const char* effect;  ///< what the invariant checks see
+  bool needs_app;      ///< only reachable with the app layer on
+};
+inline constexpr std::array<PlantedBug, 2> kPlantedBugs = {{
+    {1, "refer/routing.cpp",
+     "wrong Theorem 3.8 nominal length in fail-over trace records", false},
+    {2, "app/control_loop.cpp",
+     "spurious actuator-recovery handshake (app_actuator_up without a "
+     "down)",
+     true},
+}};
+
+/// The kPlantedBugs entry with this id, or null.
+[[nodiscard]] constexpr const PlantedBug* find_planted_bug(int id) {
+  for (const PlantedBug& bug : kPlantedBugs) {
+    if (bug.id == id) return &bug;
+  }
+  return nullptr;
+}
+
 struct FuzzOptions {
   int seeds = 25;               ///< number of cases: [base_seed, +seeds)
   std::uint64_t base_seed = 1;  ///< first fuzz seed
   int jobs = 1;                 ///< ParallelExecutor width (<= 0: all cores)
   double budget_s = 0;          ///< stop launching new waves after this (0: off)
-  int planted_bug = 0;          ///< forwarded to Scenario::planted_bug
+  /// 0, or a kPlantedBugs id, forwarded to Scenario::planted_bug.
+  int planted_bug = 0;
   /// Force the closed-loop app layer on for every case (and give cases
   /// with no fault source a default Poisson break rate), so a fuzz run
   /// exercises actuator failure / recovery in all cases, not ~half.
@@ -77,7 +105,9 @@ struct FuzzSummary {
 /// The fuzz driver behind `referbench fuzz`.  Deterministic up to which
 /// cases run: the budget may cut waves, but every case that runs is a
 /// pure function of its seed.  `progress` (optional) is called after
-/// every wave with (cases done, cases requested).
+/// every wave with (cases done, cases requested).  Throws
+/// std::invalid_argument when options.planted_bug is neither 0 nor a
+/// kPlantedBugs id.
 [[nodiscard]] FuzzSummary run_fuzz(
     const FuzzOptions& options,
     const std::function<void(int, int)>& progress = {});

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/json_doc.hpp"
 #include "analysis/jsonl.hpp"
@@ -652,6 +653,41 @@ TEST(TimelineReport, LocalizesScriptedActuatorFaultDip) {
               static_cast<double>(fault_end_bucket), 1.0);
   EXPECT_LT(dip.depth_frac, 0.9);
   EXPECT_FALSE(f.anomalies.empty());
+}
+
+/// parse_report_command's argv: "timeline_report" followed by `args`.
+ReportCommand parse_report_args(std::vector<std::string> args) {
+  args.insert(args.begin(), "timeline_report");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return parse_report_command(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(TimelineReportArgs, ParsesFlagsAndFiles) {
+  const ReportCommand cmd =
+      parse_report_args({"--strict", "--dip-frac", "0.5", "a.json", "b.json"});
+  EXPECT_TRUE(cmd.options.strict);
+  EXPECT_EQ(cmd.options.dip_frac, 0.5);
+  EXPECT_EQ(cmd.files, (std::vector<std::string>{"a.json", "b.json"}));
+}
+
+TEST(TimelineReportArgsDeathTest, BadDipFracExits2) {
+  // The value must be wholly a number in (0, 1): atof used to read
+  // "0.5x" as 0.5 and run the analysis anyway.
+  for (const char* raw : {"0.5x", "abc", "", "nan", "0", "1", "-0.2"}) {
+    EXPECT_EXIT((void)parse_report_args({"--dip-frac", raw, "x.json"}),
+                ::testing::ExitedWithCode(2), "--dip-frac: ")
+        << raw;
+  }
+}
+
+TEST(TimelineReportArgsDeathTest, UsageErrorsExit2) {
+  EXPECT_EXIT((void)parse_report_args({"--dip-frac"}),
+              ::testing::ExitedWithCode(2), "requires a value");
+  EXPECT_EXIT((void)parse_report_args({"--bogus", "x.json"}),
+              ::testing::ExitedWithCode(2), "unknown flag");
+  EXPECT_EXIT((void)parse_report_args({"--strict"}),
+              ::testing::ExitedWithCode(2), "no results file");
 }
 
 }  // namespace

@@ -164,7 +164,8 @@ TEST(FuzzArgsDeathTest, BadValuesExit2BeforeAnyCaseRuns) {
   const std::vector<std::vector<std::string>> bad = {
       {"--seeds", "abc"}, {"--seeds", "0"},       {"--jobs", "-3"},
       {"--seed", "1.5"},  {"--seed", "-1"},       {"--plant", "x"},
-      {"--plant", "-1"},  {"--budget-s", "nan"},  {"--budget-s", "0"}};
+      {"--plant", "-1"},  {"--plant", "0"},       {"--plant", "7"},
+      {"--budget-s", "nan"},  {"--budget-s", "0"}};
   for (const std::vector<std::string>& args : bad) {
     Argv a(args);
     // run_fuzz_command's argv starts after the `fuzz` word.
@@ -172,6 +173,15 @@ TEST(FuzzArgsDeathTest, BadValuesExit2BeforeAnyCaseRuns) {
                 ::testing::ExitedWithCode(2), args[0] + ": ")
         << args[0] << " " << args[1];
   }
+}
+
+TEST(FuzzArgsDeathTest, UnknownPlantedBugIdExits2) {
+  // Only the ids in verify::kPlantedBugs exist; any other whole number
+  // used to run an ordinary campaign and report it clean.
+  Argv a({"--plant", "7"});
+  EXPECT_EXIT(tools::run_fuzz_command(a.argc() - 1, a.argv() + 1),
+              ::testing::ExitedWithCode(2),
+              "--plant: expected a planted bug id \\(1, 2\\), got '7'");
 }
 
 }  // namespace

@@ -188,6 +188,80 @@ TEST(NeighborCacheProperty, KillsNeedNoInvalidationToStayExact) {
   EXPECT_EQ(world.reachable_from(1), before);
 }
 
+/// The linear scan, computed from World's public accessors so taking it
+/// leaves the grid and every cached row untouched (toggling the index
+/// would rebuild it and re-anchor every node).
+std::vector<NodeId> linear_reachable(sim::World& world, NodeId from,
+                                     double range_override) {
+  std::vector<NodeId> out;
+  if (!world.alive(from)) return out;
+  const double r = range_override > 0 ? range_override : world.range(from);
+  const Point p = world.position(from);
+  for (NodeId i = 0; static_cast<std::size_t>(i) < world.size(); ++i) {
+    if (i != from && world.alive(i) && within_range(p, world.position(i), r)) {
+      out.push_back(i);
+    }
+  }
+  return out;
+}
+
+TEST(NeighborCacheProperty, RowsStaySupersetsUntilTheRebinDeadline) {
+  // Adversarial world for the row-radius bound.  Sensors roam a 1 m high
+  // corridor at one fixed speed, so every leg runs along x and pairs
+  // close head-on at twice the maximum speed.  Rows are built right
+  // after each re-bin and walked again just before the next one, when
+  // both ends of a pair have drifted almost a full slack from their
+  // anchors: a row narrower than r + 2*slack around the owner's anchor
+  // misses such a pair.  Sensor, actuator and range_override radii are
+  // all checked against the linear scan at every query.
+  constexpr double kSpeed = 4.0;
+  sim::Simulator sim;
+  sim::World world(Rect{{0, 0}, {1000, 1}}, sim);
+  Rng rng(77);
+  for (int i = 0; i < 5; ++i) {
+    world.add_actuator({100.0 + 200.0 * i, 0.5}, 250);
+  }
+  for (int i = 0; i < 240; ++i) {
+    world.add_sensor({rng.uniform(0, 1000), rng.uniform(0, 1)}, 100, kSpeed,
+                     kSpeed, rng.split());
+  }
+  for (int i = 0; i < 6; ++i) {
+    world.set_alive(static_cast<NodeId>(5 + rng.below(240)), false);
+  }
+  const double overrides[] = {0, 40, 170};
+  (void)world.reachable_from(0);  // builds the index
+  const double width = world.slack() / kSpeed;  // the re-bin bucket
+  ASSERT_GT(width, 0);
+  const auto check_all = [&](double t) {
+    for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
+         ++from) {
+      for (const double range_override : overrides) {
+        ASSERT_EQ(world.reachable_from(from, range_override),
+                  linear_reachable(world, from, range_override))
+            << "t=" << t << " from=" << from
+            << " override=" << range_override;
+      }
+    }
+  };
+  std::uint64_t late_hits = 0;
+  for (int bucket = 1; bucket <= 12; ++bucket) {
+    const double early = (bucket + 0.01) * width;
+    sim.run_until(early);
+    check_all(early);  // re-bins, then builds every row
+    if (HasFatalFailure()) return;
+    const sim::NeighborCache::Stats before = world.neighbor_cache_stats();
+    const double late = (bucket + 0.99) * width;
+    sim.run_until(late);
+    check_all(late);
+    if (HasFatalFailure()) return;
+    // Every late query walked a row built early in the same epoch.
+    EXPECT_EQ(world.neighbor_cache_stats().invalidations,
+              before.invalidations);
+    late_hits += world.neighbor_cache_stats().hits - before.hits;
+  }
+  EXPECT_GT(late_hits, 12u * 200u * 3u);
+}
+
 TEST(NeighborCacheCounters, HitsRebuildsAndInvalidationsTrackEpochs) {
   sim::Simulator sim;
   sim::World world(Rect{{0, 0}, {500, 500}}, sim);
@@ -205,6 +279,12 @@ TEST(NeighborCacheCounters, HitsRebuildsAndInvalidationsTrackEpochs) {
   (void)world.reachable_from(0);
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.rebuilds, 1u);
+  // Each walk reads the whole row the build collected; the exact checks
+  // are the annulus entries, the same ones on every walk of this row.
+  const std::uint64_t row_len = world.index_stats().candidates;
+  EXPECT_EQ(stats.candidates_walked, 3 * row_len);
+  EXPECT_EQ(stats.exact_checks % 3, 0u);
+  EXPECT_LT(stats.exact_checks, stats.candidates_walked);
 
   (void)world.reachable_from(7);  // new node: its row is built once
   (void)world.reachable_from(7);
@@ -234,59 +314,23 @@ TEST(NeighborCacheCounters, MobilityRebinsInvalidate) {
                      rng.split());
   }
   (void)world.reachable_from(0);
-  (void)world.reachable_from(0);  // two hits: this row earns its keep
-  (void)world.reachable_from(0);
+  (void)world.reachable_from(0);  // a hit on the row just built
   const std::uint64_t inv0 = world.neighbor_cache_stats().invalidations;
-  // Far past every slack deadline (slack/speed <= 5 m / 1 mps): the next
-  // query's revalidate re-bins movers and must expire cached rows.  The
-  // row collected kRefillHitThreshold hits before the re-bin, so the
-  // staleness heuristic rebuilds it rather than skipping the fill.
+  // Far past every slack deadline (slack/speed <= 6.25 m / 1 mps): the
+  // next query's revalidate re-bins movers, which must expire the cached
+  // row and rebuild it.
   sim.run_until(30);
   (void)world.reachable_from(0);
   EXPECT_GT(world.neighbor_cache_stats().invalidations, inv0);
-  EXPECT_GE(world.neighbor_cache_stats().rebuilds, 2u);
-  EXPECT_EQ(world.neighbor_cache_stats().skipped_fills, 0u);
+  EXPECT_EQ(world.neighbor_cache_stats().rebuilds, 2u);
+  EXPECT_EQ(world.neighbor_cache_stats().hits, 1u);
 }
 
-TEST(NeighborCacheCounters, ColdRowsSkipFillsUntilReuseReturns) {
-  // Cache-level pin on the staleness heuristic: a row whose previous
-  // build collected fewer than kRefillHitThreshold hits has its fills
-  // skipped -- at most two per epoch; a third miss in one epoch, or a
-  // build that reaches the threshold, resumes eager filling.
-  sim::NeighborCache cache;
-  cache.reset(4);
-  const std::vector<NodeId> ids = {1, 2, 3};
-  const auto anchor_of = [](NodeId id) {
-    return Point{static_cast<double>(id), 0.0};
-  };
-  sim::NeighborCache::Row view;
-
-  EXPECT_TRUE(cache.should_fill(0, 100.0));  // no history: build
-  (void)cache.store(0, 100.0, ids, anchor_of);
-  ASSERT_TRUE(cache.lookup(0, 100.0, view));  // one hit: below threshold
-  cache.invalidate();
-
-  // The broadcast shape -- one fill, one hit, epoch over -- never pays
-  // the build back, so the next epoch's misses are served uncached...
-  EXPECT_FALSE(cache.should_fill(0, 100.0));
-  EXPECT_FALSE(cache.should_fill(0, 100.0));
-  EXPECT_EQ(cache.stats().skipped_fills, 2u);
-  // ...until a third miss in the same epoch proves real reuse.
-  EXPECT_TRUE(cache.should_fill(0, 100.0));
-  (void)cache.store(0, 100.0, ids, anchor_of);
-  ASSERT_TRUE(cache.lookup(0, 100.0, view));
-  ASSERT_TRUE(cache.lookup(0, 100.0, view));  // threshold hits: amortised
-  cache.invalidate();
-  EXPECT_TRUE(cache.should_fill(0, 100.0));  // hot rows refill eagerly
-  EXPECT_TRUE(cache.should_fill(1, 100.0));  // never-built slot: build
-  EXPECT_EQ(cache.stats().skipped_fills, 2u);
-}
-
-TEST(NeighborCacheProperty, SkippedFillsStayExact) {
-  // The broadcast shape that motivated the heuristic: every node queries
-  // once per epoch, so no row is ever reused and -- after the first
-  // epoch -- every fill is skipped.  Skipped queries run the plain grid
-  // scan and must stay bit-identical to the cache-off path.
+TEST(NeighborCacheProperty, OncePerEpochQueriesStayExact) {
+  // The broadcast shape: every node queries once per epoch, so no row is
+  // ever reused -- each query builds its row around its owner's anchor
+  // and walks it once, and must stay bit-identical to the cache-off
+  // path.
   sim::Simulator sim;
   sim::World world(Rect{{0, 0}, {600, 600}}, sim);
   Rng rng(23);
@@ -306,7 +350,7 @@ TEST(NeighborCacheProperty, SkippedFillsStayExact) {
       ASSERT_EQ(cached, uncached) << "epoch=" << epoch << " from=" << from;
     }
   }
-  EXPECT_GT(world.neighbor_cache_stats().skipped_fills, 0u);
+  EXPECT_EQ(world.neighbor_cache_stats().hits, 0u);
 }
 
 TEST(NeighborCacheSteadyState, HitPathDoesNotAllocate) {
@@ -348,11 +392,10 @@ TEST(NeighborCacheSteadyState, HitPathDoesNotAllocate) {
   });
   EXPECT_EQ(allocs, 0u)
       << "cached medium scans must not touch the heap at steady state";
-  // Each (from, range) pair may spend its first measurement queries on a
-  // miss -- worst case two skipped fills plus the fill itself (the
-  // staleness heuristic's cold-row path) -- before settling into hits.
-  EXPECT_GE(world.neighbor_cache_stats().hits,
-            hits_before + 50u * 2u * static_cast<std::uint64_t>(n) - 6u * n);
+  // Time stood still since the last warmup step built every row, so
+  // every measured query was a hit.
+  EXPECT_EQ(world.neighbor_cache_stats().hits,
+            hits_before + 50u * 2u * static_cast<std::uint64_t>(n));
 }
 
 TEST(NeighborCacheSteadyState, RowRebuildsRecyclePoolsWithoutAllocating) {
@@ -417,7 +460,7 @@ TEST(NeighborCacheDeterminism, Fig04ScenarioIdenticalWithCacheOnAndOff) {
 TEST(NeighborCacheDeterminism, HoldsUnderTheRegularRoutingPolicy) {
   // The regular-routing walks route different packets over different
   // arcs than greedy, changing which neighbourhoods get queried -- the
-  // cache (and its staleness heuristic) must stay invisible there too.
+  // cache must stay invisible there too.
   harness::Scenario sc;
   sc.n_sensors = 110;
   sc.warmup_s = 5;

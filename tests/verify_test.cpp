@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -375,6 +376,17 @@ TEST(ScenarioFieldTable, ReproAndResultsRoundTripFuzzedScenarios) {
 }
 
 // ----------------------------------------- planted bug -> shrink -> replay
+
+TEST(PlantedBug, OnlyListedIdsCanBePlanted) {
+  for (const PlantedBug& bug : kPlantedBugs) {
+    EXPECT_EQ(find_planted_bug(bug.id), &bug);
+  }
+  EXPECT_EQ(find_planted_bug(0), nullptr);
+  FuzzOptions options;
+  options.seeds = 1;
+  options.planted_bug = 7;
+  EXPECT_THROW((void)run_fuzz(options), std::invalid_argument);
+}
 
 TEST(PlantedBug, IsCaughtShrunkAndReplayedFromRepro) {
   // 1. Fuzz with the planted off-by-one in the Theorem 3.8 fail-over

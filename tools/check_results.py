@@ -100,17 +100,22 @@ def check_fig_sat(args):
 
 
 def check_grid_counters(args):
-    """Every job exports the spatial index's world.grid.* counters."""
+    """Every job exports the spatial index's world.grid.* counters and
+    the neighbour cache's walk work counters."""
     paths = expand(args.pattern)
     for p in paths:
         doc = load(p)
         for job in doc["jobs_run"]:
             obs = {e["name"]: e for e in job["metrics"]["observability"]}
             for name in ("world.grid.queries", "world.grid.candidates",
-                         "world.grid.rebins", "world.grid.rebuilds"):
+                         "world.grid.rebins", "world.grid.rebuilds",
+                         "world.neighbor_cache.candidates_walked",
+                         "world.neighbor_cache.exact_checks"):
                 assert name in obs, (p, name)
                 assert obs[name]["kind"] == "counter", (p, name)
             assert obs["world.grid.queries"]["count"] > 0, p
+            walked = obs["world.neighbor_cache.candidates_walked"]["count"]
+            assert obs["world.neighbor_cache.exact_checks"]["count"] <= walked, p
     print(len(paths), "schema-valid documents with grid counters")
 
 

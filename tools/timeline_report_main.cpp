@@ -11,25 +11,14 @@
 //
 // Exit status: 0 clean, 1 when --strict and any anomaly was found,
 // 2 on usage / unreadable or malformed input.
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/timeline_report.hpp"
 
 namespace {
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: timeline_report [--strict] [--dip-frac F] <results.json>...\n"
-      "  --strict      exit 1 when any anomaly (knee or dip) is found\n"
-      "  --dip-frac F  dip threshold as a fraction of the steady median "
-      "(default: 0.7)\n");
-  return 2;
-}
 
 bool read_file(const std::string& path, std::string& out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -44,25 +33,10 @@ bool read_file(const std::string& path, std::string& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  refer::analysis::ReportOptions opts;
-  std::vector<std::string> files;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--strict") {
-      opts.strict = true;
-    } else if (arg == "--dip-frac" && i + 1 < argc) {
-      opts.dip_frac = std::atof(argv[++i]);
-      if (!(opts.dip_frac > 0 && opts.dip_frac < 1)) return usage();
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else {
-      files.push_back(arg);
-    }
-  }
-  if (files.empty()) return usage();
+  const refer::analysis::ReportCommand cmd =
+      refer::analysis::parse_report_command(argc, argv);
+  const refer::analysis::ReportOptions& opts = cmd.options;
+  const std::vector<std::string>& files = cmd.files;
 
   int exit_code = 0;
   for (const std::string& path : files) {

@@ -27,7 +27,13 @@ void print_fuzz_usage(std::FILE* out) {
       "  --seed S       first fuzz seed (default 1)\n"
       "  --budget-s S   stop launching new waves after S seconds\n"
       "  --jobs N       parallel jobs; 0 = one per core (default 1)\n"
-      "  --plant K      plant known bug K (testing the checker itself)\n"
+      "  --plant K      plant known bug K (testing the checker itself):\n");
+  for (const PlantedBug& bug : kPlantedBugs) {
+    std::fprintf(out, "                   %d  %s: %s%s\n", bug.id, bug.site,
+                 bug.effect, bug.needs_app ? " [with --app-faults]" : "");
+  }
+  std::fprintf(
+      out,
       "  --app-faults   force the closed-loop app layer (with actuator\n"
       "                 fault schedules) on in every case\n"
       "  --dir PATH     trace directory (default: <tmp>/refer_fuzz)\n"
@@ -40,8 +46,8 @@ void print_fuzz_usage(std::FILE* out) {
 
 /// Strict flag parsing, same contract and value parsers as
 /// bench_common.hpp: an unknown flag, a missing value or a value out of
-/// range (--seeds >= 1, --jobs / --plant >= 0, --seed any uint64,
-/// --budget-s finite and > 0) exits 2.
+/// range (--seeds >= 1, --jobs >= 0, --plant a kPlantedBugs id, --seed
+/// any uint64, --budget-s finite and > 0) exits 2.
 struct FuzzArgs {
   FuzzOptions options;
   std::string repro_path = "repro.json";
@@ -73,8 +79,16 @@ FuzzArgs parse_fuzz_args(int argc, char** argv) {
     } else if (flag == "--jobs") {
       args.options.jobs = bench::integer_value(flag, need_value(i++), 0);
     } else if (flag == "--plant") {
-      args.options.planted_bug =
-          bench::integer_value(flag, need_value(i++), 0);
+      const char* raw = need_value(i++);
+      args.options.planted_bug = bench::integer_value(flag, raw, 1);
+      if (!find_planted_bug(args.options.planted_bug)) {
+        std::string ids;
+        for (const PlantedBug& bug : kPlantedBugs) {
+          ids += (ids.empty() ? "" : ", ") + std::to_string(bug.id);
+        }
+        bench::usage_error(flag + ": expected a planted bug id (" + ids +
+                           "), got '" + raw + "'");
+      }
     } else if (flag == "--app-faults") {
       args.options.force_app = true;
     } else if (flag == "--dir") {
@@ -97,11 +111,14 @@ FuzzArgs parse_fuzz_args(int argc, char** argv) {
 
 int run_fuzz_command(int argc, char** argv) {
   const FuzzArgs args = parse_fuzz_args(argc, argv);
-  std::printf("fuzzing %d scenario(s) from seed %" PRIu64 " (%s)...\n",
-              args.options.seeds, args.options.base_seed,
-              args.options.planted_bug
-                  ? "with a planted bug -- violations expected"
-                  : "all invariants must hold");
+  std::printf("fuzzing %d scenario(s) from seed %" PRIu64 " (",
+              args.options.seeds, args.options.base_seed);
+  if (const PlantedBug* plant = find_planted_bug(args.options.planted_bug)) {
+    std::printf("planted bug %d, %s -- violations expected)...\n", plant->id,
+                plant->effect);
+  } else {
+    std::printf("all invariants must hold)...\n");
+  }
   const FuzzSummary summary =
       run_fuzz(args.options, [](int done, int total) {
         std::printf("  %d/%d cases\r", done, total);
