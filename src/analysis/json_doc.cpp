@@ -1,9 +1,16 @@
 #include "analysis/json_doc.hpp"
 
-#include <cctype>
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
 
 namespace refer::analysis {
+
+bool JsonNode::is_flat_object() const noexcept {
+  return is_object() &&
+         std::none_of(members.begin(), members.end(), [](const auto& m) {
+           return m.second.is_object() || m.second.is_array();
+         });
+}
 
 const JsonNode* JsonNode::find(std::string_view key) const noexcept {
   if (kind != Kind::kObject) return nullptr;
@@ -24,155 +31,156 @@ std::vector<double> JsonNode::member_numbers(std::string_view key) const {
 
 namespace {
 
+/// Recursive descent over the RFC 8259 grammar; every production returns
+/// false on the first byte outside it.
 struct Parser {
   std::string_view text;
   std::size_t pos = 0;
-  bool failed = false;
 
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
+  [[nodiscard]] bool at_end() const noexcept { return pos >= text.size(); }
+  [[nodiscard]] bool next_is(char c) const noexcept {
+    return !at_end() && text[pos] == c;
+  }
+
+  /// JSON whitespace is space, tab, LF and CR -- nothing else.
+  void skip_ws() noexcept {
+    while (next_is(' ') || next_is('\t') || next_is('\n') || next_is('\r')) {
       ++pos;
     }
   }
 
-  [[nodiscard]] bool eat(char c) {
+  bool eat(char c) noexcept {
     skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  JsonNode fail() {
-    failed = true;
-    return {};
-  }
-
-  JsonNode parse_value() {
-    skip_ws();
-    if (failed || pos >= text.size()) return fail();
-    const char c = text[pos];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return parse_string_node();
-    if (c == 't' || c == 'f') return parse_bool();
-    if (c == 'n') return parse_null();
-    return parse_number();
-  }
-
-  JsonNode parse_object() {
-    JsonNode node;
-    node.kind = JsonNode::Kind::kObject;
-    if (!eat('{')) return fail();
-    if (eat('}')) return node;
-    do {
-      skip_ws();
-      std::string key;
-      if (!parse_string(key)) return fail();
-      if (!eat(':')) return fail();
-      JsonNode value = parse_value();
-      if (failed) return {};
-      node.members.emplace_back(std::move(key), std::move(value));
-    } while (eat(','));
-    if (!eat('}')) return fail();
-    return node;
-  }
-
-  JsonNode parse_array() {
-    JsonNode node;
-    node.kind = JsonNode::Kind::kArray;
-    if (!eat('[')) return fail();
-    if (eat(']')) return node;
-    do {
-      JsonNode value = parse_value();
-      if (failed) return {};
-      node.items.push_back(std::move(value));
-    } while (eat(','));
-    if (!eat(']')) return fail();
-    return node;
-  }
-
-  bool parse_string(std::string& out) {
-    skip_ws();
-    if (pos >= text.size() || text[pos] != '"') return false;
+    if (!next_is(c)) return false;
     ++pos;
-    out.clear();
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\') {
-        if (pos >= text.size()) return false;
-        const char esc = text[pos++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u':
-            // The writers never emit \u escapes; skip the 4 hex digits
-            // and substitute '?' rather than decoding UTF-16.
-            if (pos + 4 > text.size()) return false;
-            pos += 4;
-            c = '?';
-            break;
-          default: c = esc; break;  // \" \\ \/
-        }
-      }
-      out.push_back(c);
-    }
-    if (pos >= text.size()) return false;
-    ++pos;  // closing quote
     return true;
   }
 
-  JsonNode parse_string_node() {
-    JsonNode node;
-    node.kind = JsonNode::Kind::kString;
-    if (!parse_string(node.str)) return fail();
-    return node;
+  bool literal(std::string_view word) noexcept {
+    if (text.substr(pos, word.size()) != word) return false;
+    pos += word.size();
+    return true;
   }
 
-  JsonNode parse_bool() {
-    JsonNode node;
-    node.kind = JsonNode::Kind::kBool;
-    if (text.substr(pos, 4) == "true") {
-      node.boolean = true;
-      pos += 4;
-      return node;
+  bool value(JsonNode& out, int depth) {
+    skip_ws();
+    if (at_end()) return false;
+    switch (text[pos]) {
+      case '{': return object(out, depth + 1);
+      case '[': return array(out, depth + 1);
+      case '"':
+        out.kind = JsonNode::Kind::kString;
+        return string(out.str);
+      case 't':
+        out.kind = JsonNode::Kind::kBool;
+        out.boolean = true;
+        return literal("true");
+      case 'f':
+        out.kind = JsonNode::Kind::kBool;
+        return literal("false");
+      case 'n': return literal("null");  // JsonNode's default kind
+      default:
+        out.kind = JsonNode::Kind::kNumber;
+        return number(out.number);
     }
-    if (text.substr(pos, 5) == "false") {
-      node.boolean = false;
-      pos += 5;
-      return node;
+  }
+
+  bool object(JsonNode& out, int depth) {
+    if (depth > kMaxJsonDepth) return false;
+    out.kind = JsonNode::Kind::kObject;
+    ++pos;  // '{'
+    if (eat('}')) return true;
+    do {
+      skip_ws();
+      std::string key;
+      if (!string(key) || out.find(key) != nullptr || !eat(':')) {
+        return false;
+      }
+      JsonNode& member = out.members.emplace_back(std::move(key), JsonNode{})
+                             .second;
+      if (!value(member, depth)) return false;
+    } while (eat(','));
+    return eat('}');
+  }
+
+  bool array(JsonNode& out, int depth) {
+    if (depth > kMaxJsonDepth) return false;
+    out.kind = JsonNode::Kind::kArray;
+    ++pos;  // '['
+    if (eat(']')) return true;
+    do {
+      if (!value(out.items.emplace_back(), depth)) return false;
+    } while (eat(','));
+    return eat(']');
+  }
+
+  bool string(std::string& out) {
+    if (!next_is('"')) return false;
+    ++pos;
+    out.clear();
+    while (!at_end()) {
+      const char c = text[pos++];
+      if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c != '\\') {
+        out.push_back(c);
+        continue;
+      }
+      if (at_end()) return false;
+      switch (text[pos++]) {
+        case '"': out.push_back('"'); break;
+        case '\\': out.push_back('\\'); break;
+        case '/': out.push_back('/'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'n': out.push_back('\n'); break;
+        case 'r': out.push_back('\r'); break;
+        case 't': out.push_back('\t'); break;
+        case 'u': {
+          const char* hex = text.data() + pos;
+          unsigned code = 0;
+          if (text.size() - pos < 4 ||
+              std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4) {
+            return false;
+          }
+          pos += 4;
+          out.push_back(code < 0x80 ? static_cast<char>(code) : '?');
+          break;
+        }
+        default: return false;
+      }
     }
-    return fail();
+    return false;  // unterminated
   }
 
-  JsonNode parse_null() {
-    if (text.substr(pos, 4) != "null") return fail();
-    pos += 4;
-    return {};  // kNull
+  bool digits() noexcept {
+    const std::size_t from = pos;
+    while (!at_end() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+    return pos > from;
   }
 
-  JsonNode parse_number() {
+  /// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, read as a finite
+  /// double: from_chars reports 1e999 (and 1e-999) out of range.
+  bool number(double& out) {
     const std::size_t start = pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-            text[pos] == '-' || text[pos] == '+' || text[pos] == '.' ||
-            text[pos] == 'e' || text[pos] == 'E')) {
+    if (next_is('-')) ++pos;
+    if (next_is('0')) {
       ++pos;
+    } else if (!digits()) {
+      return false;
     }
-    if (pos == start) return fail();
-    const std::string token(text.substr(start, pos - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return fail();
-    JsonNode node;
-    node.kind = JsonNode::Kind::kNumber;
-    node.number = value;
-    return node;
+    if (next_is('.')) {
+      ++pos;
+      if (!digits()) return false;
+    }
+    if (next_is('e') || next_is('E')) {
+      ++pos;
+      if (next_is('+') || next_is('-')) ++pos;
+      if (!digits()) return false;
+    }
+    const char* last = text.data() + pos;
+    const auto [ptr, ec] = std::from_chars(text.data() + start, last, out);
+    return ec == std::errc() && ptr == last;
   }
 };
 
@@ -180,10 +188,10 @@ struct Parser {
 
 std::optional<JsonNode> parse_json_doc(std::string_view text) {
   Parser p{text};
-  JsonNode root = p.parse_value();
-  if (p.failed) return std::nullopt;
+  JsonNode root;
+  if (!p.value(root, 0)) return std::nullopt;
   p.skip_ws();
-  if (p.pos != text.size()) return std::nullopt;  // trailing garbage
+  if (!p.at_end()) return std::nullopt;  // trailing garbage
   return root;
 }
 

@@ -1,13 +1,20 @@
-// Nested JSON document parser for the offline analyzers.
+// The one JSON reader of the repository.
 //
-// src/analysis/jsonl.hpp deliberately parses only *flat* objects (one
-// trace record per line); the results documents (runner/results_writer)
-// are nested -- objects inside arrays inside objects -- so the timeline
-// analyzer needs a real value tree.  This is a small recursive-descent
-// parser over the subset JsonWriter emits: finite numbers, plain
-// strings with backslash escapes, true/false/null, arrays and objects.
-// It keeps object members in document order and tolerates unknown keys,
-// so older (v3) and newer documents both load.
+// Every file the tools read back goes through parse_json_doc: results
+// documents (timeline_report), JSONL trace records (trace_report, one
+// call per line) and repro files (verify::load_repro).  They are all
+// outside input, so the reader takes one strict RFC 8259 grammar and
+// refuses what no writer emits:
+//   - numbers in exact JSON syntax (no inf / nan / hex / leading '+',
+//     no leading zeros, digits on both sides of '.'), and the value must
+//     fit a finite double -- 1e999 is an error, never infinity;
+//   - the eight standard escapes, with \uXXXX read as one byte below
+//     0x80 and as '?' above (the writers only escape control bytes);
+//   - no raw control byte inside a string;
+//   - no duplicate key within one object;
+//   - at most kMaxJsonDepth nested arrays / objects.
+// Object members keep document order, and unknown keys are kept, not
+// refused: the callers decide which keys they need.
 #pragma once
 
 #include <optional>
@@ -17,6 +24,9 @@
 #include <vector>
 
 namespace refer::analysis {
+
+/// Nesting cap; results documents nest about 7 deep.
+inline constexpr int kMaxJsonDepth = 64;
 
 struct JsonNode {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -33,8 +43,12 @@ struct JsonNode {
   }
   [[nodiscard]] bool is_array() const noexcept { return kind == Kind::kArray; }
 
-  /// Member lookup (linear; results documents have tens of keys), or
-  /// nullptr when absent / not an object.
+  /// An object whose members are all scalars: the shape of one trace
+  /// record and of a repro file.
+  [[nodiscard]] bool is_flat_object() const noexcept;
+
+  /// Member lookup (linear; documents have tens of keys), or nullptr
+  /// when absent / not an object.
   [[nodiscard]] const JsonNode* find(std::string_view key) const noexcept;
 
   /// Typed accessors with defaults -- absent or ill-typed reads the
@@ -56,15 +70,24 @@ struct JsonNode {
     return v ? v->number_or(fallback) : fallback;
   }
 
+  /// find(key) + string_or_null: the member's text, "" when absent or
+  /// not a string.
+  [[nodiscard]] std::string_view member_string(
+      std::string_view key) const noexcept {
+    const JsonNode* v = find(key);
+    return v && v->kind == Kind::kString ? std::string_view(v->str)
+                                         : std::string_view();
+  }
+
   /// The member's array of numbers ([] when absent / not an array);
   /// non-number elements read as 0.
   [[nodiscard]] std::vector<double> member_numbers(
       std::string_view key) const;
 };
 
-/// Parses a complete JSON document (trailing whitespace allowed).
-/// Returns nullopt on any syntax error -- the analyzers treat malformed
-/// input as a hard error, never a partial read.
+/// Parses one complete JSON text (surrounding whitespace allowed).
+/// Returns nullopt on anything outside the grammar above -- the callers
+/// treat malformed input as a hard error, never a partial read.
 [[nodiscard]] std::optional<JsonNode> parse_json_doc(std::string_view text);
 
 }  // namespace refer::analysis

@@ -5,7 +5,8 @@
 #include <limits>
 #include <optional>
 
-#include "analysis/jsonl.hpp"
+#include "analysis/json_doc.hpp"
+#include "common/cli_values.hpp"
 #include "kautz/label.hpp"
 #include "kautz/regular.hpp"
 #include "kautz/routing.hpp"
@@ -14,27 +15,23 @@ namespace refer::analysis {
 
 namespace {
 
-/// Numeric member or `fallback` when absent / not a number.
-double num_or(const JsonObject& obj, const std::string& key, double fallback) {
-  const auto it = obj.find(key);
-  if (it == obj.end() || it->second.kind != JsonValue::Kind::kNumber) {
-    return fallback;
-  }
-  return it->second.number;
+constexpr const char* kProgram = "trace_report";
+
+void print_usage(std::FILE* out) {
+  std::fprintf(
+      out,
+      "usage: trace_report [--degree D] [--chains N] [--strict] "
+      "<trace.jsonl>...\n"
+      "  --degree D   Kautz degree for the Theorem 3.8 audit "
+      "(default: trace header, else infer)\n"
+      "  --chains N   fail-over hop chains to print per file "
+      "(default: 3)\n"
+      "  --strict     exit 1 when any audit finds a violation\n");
 }
 
-/// String member or "" when absent / not a string.
-std::string str_or(const JsonObject& obj, const std::string& key) {
-  const auto it = obj.find(key);
-  if (it == obj.end() || it->second.kind != JsonValue::Kind::kString) {
-    return {};
-  }
-  return it->second.str;
-}
-
-bool has_number(const JsonObject& obj, const std::string& key) {
-  const auto it = obj.find(key);
-  return it != obj.end() && it->second.kind == JsonValue::Kind::kNumber;
+bool has_number(const JsonNode& obj, std::string_view key) {
+  const JsonNode* v = obj.find(key);
+  return v && v->kind == JsonNode::Kind::kNumber;
 }
 
 bool is_routing_event(const std::string& event) {
@@ -61,20 +58,20 @@ bool is_known_event(const std::string& event) {
 
 /// Folds one parsed record into the report; returns false on a schema
 /// violation (missing / mistyped keys for the event type).
-bool ingest(TraceReport& report, const JsonObject& obj) {
-  const std::string event = str_or(obj, "event");
+bool ingest(TraceReport& report, const JsonNode& obj) {
+  const std::string event(obj.member_string("event"));
   if (event.empty() || !has_number(obj, "t")) return false;
   ++report.events_by_type[event];
   if (!is_known_event(event)) return false;
   if (event == "trace_header") {
     // Run metadata written once at build time: the overlay's Kautz
     // degree d, authoritative for the Theorem 3.8 audit.
-    const int d = static_cast<int>(num_or(obj, "degree", -1));
+    const int d = static_cast<int>(obj.member_number("degree", -1));
     if (d < 2) return false;
     report.header_degree = d;
     // Routing policy: the writer only emits the key when the run used a
     // non-default policy, so absence means greedy.
-    report.header_policy = str_or(obj, "policy");
+    report.header_policy = obj.member_string("policy");
     return true;
   }
   if (event == "app_loop_miss") {
@@ -96,8 +93,8 @@ bool ingest(TraceReport& report, const JsonObject& obj) {
     }
     return false;
   }
-  const auto id = static_cast<long long>(num_or(obj, "packet", -1));
-  const double t = num_or(obj, "t", 0);
+  const auto id = static_cast<long long>(obj.member_number("packet", -1));
+  const double t = obj.member_number("t", 0);
   PacketTrace& pkt = report.packets[id];
   pkt.id = id;
   pkt.end_t = t;
@@ -108,27 +105,27 @@ bool ingest(TraceReport& report, const JsonObject& obj) {
   } else if (event == "hop_forward") {
     HopRecord hop;
     hop.t = t;
-    hop.from = static_cast<long long>(num_or(obj, "from", -1));
-    hop.to = static_cast<long long>(num_or(obj, "to", -1));
-    hop.hop_index = static_cast<int>(num_or(obj, "hop", -1));
-    hop.at = str_or(obj, "at");
-    hop.dst = str_or(obj, "dst");
-    hop.next = str_or(obj, "next");
+    hop.from = static_cast<long long>(obj.member_number("from", -1));
+    hop.to = static_cast<long long>(obj.member_number("to", -1));
+    hop.hop_index = static_cast<int>(obj.member_number("hop", -1));
+    hop.at = obj.member_string("at");
+    hop.dst = obj.member_string("dst");
+    hop.next = obj.member_string("next");
     pkt.hops.push_back(std::move(hop));
   } else if (event == "failover") {
     if (!has_number(obj, "alt")) return false;
     ++report.failovers;
     FailoverRecord f;
     f.t = t;
-    f.node = static_cast<long long>(num_or(obj, "from", -1));
-    f.alt_index = static_cast<int>(num_or(obj, "alt", -1));
-    f.nominal_len = static_cast<int>(num_or(obj, "nominal_len", -1));
-    f.at = str_or(obj, "at");
-    f.dst = str_or(obj, "dst");
-    f.next = str_or(obj, "next");
+    f.node = static_cast<long long>(obj.member_number("from", -1));
+    f.alt_index = static_cast<int>(obj.member_number("alt", -1));
+    f.nominal_len = static_cast<int>(obj.member_number("nominal_len", -1));
+    f.at = obj.member_string("at");
+    f.dst = obj.member_string("dst");
+    f.next = obj.member_string("next");
     pkt.failovers.push_back(std::move(f));
   } else if (event == "packet_dropped") {
-    const std::string reason = str_or(obj, "reason");
+    const std::string reason(obj.member_string("reason"));
     if (reason.empty()) return false;
     ++report.packets_dropped;
     ++report.drops_by_reason[reason];
@@ -386,8 +383,9 @@ TraceReport analyze_trace(std::istream& in, const TraceReportOptions& opts) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     ++report.lines;
-    const auto obj = parse_flat_object(line);
-    if (!obj) {
+    // One trace record is one flat object.
+    const auto obj = parse_json_doc(line);
+    if (!obj || !obj->is_flat_object()) {
       ++report.parse_errors;
       continue;
     }
@@ -492,6 +490,34 @@ void print_report(const TraceReport& report, const TraceReportOptions& opts,
     }
     std::fprintf(out, "\n");
   }
+}
+
+TraceCommand parse_trace_command(int argc, char** argv) {
+  TraceCommand cmd;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--strict") {
+      cmd.strict = true;
+    } else if (arg == "--degree" || arg == "--chains") {
+      if (i + 1 >= argc) cli::usage_error(kProgram, arg + " requires a value");
+      const char* raw = argv[++i];
+      if (arg == "--degree") {
+        cmd.options.degree = cli::integer_value(kProgram, arg, raw, 2);
+      } else {
+        cmd.options.max_chains =
+            cli::integer_value(kProgram, arg, raw, std::size_t{0});
+      }
+    } else if (arg == "--help" || arg == "-h") {
+      print_usage(stdout);
+      std::exit(0);
+    } else if (!arg.empty() && arg[0] == '-') {
+      cli::usage_error(kProgram, "unknown flag: " + arg);
+    } else {
+      cmd.files.push_back(arg);
+    }
+  }
+  if (cmd.files.empty()) cli::usage_error(kProgram, "no trace file given");
+  return cmd;
 }
 
 }  // namespace refer::analysis

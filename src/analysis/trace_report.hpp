@@ -127,4 +127,18 @@ struct TraceReport {
 void print_report(const TraceReport& report, const TraceReportOptions& opts,
                   std::FILE* out);
 
+/// trace_report's command line: `[--degree D] [--chains N] [--strict]
+/// <trace.jsonl>...`.
+struct TraceCommand {
+  TraceReportOptions options;
+  bool strict = false;
+  std::vector<std::string> files;
+};
+
+/// Parses trace_report's arguments (argv[0] is the program).  Prints
+/// the usage and exits 0 on --help; exits 2 on an unknown flag, a
+/// missing value, no input file, a --degree that is not a whole number
+/// >= 2 or a --chains that is not a whole number >= 0.
+[[nodiscard]] TraceCommand parse_trace_command(int argc, char** argv);
+
 }  // namespace refer::analysis

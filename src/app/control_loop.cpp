@@ -52,7 +52,9 @@ void ControlLoopEngine::start(double t0, double measure_from,
 
   // Fault windows: scripted entries (relative to t0) plus Poisson
   // break/repair draws, merged per actuator.  Entries naming an
-  // actuator the deployment does not have are dropped.
+  // actuator the deployment does not have are dropped.  The schedule
+  // parses: the benches script valid ones and verify::load_repro refuses
+  // the rest.
   std::vector<FaultWindow> windows;
   (void)parse_fault_schedule(scenario_.app_fault_schedule, windows);
   {

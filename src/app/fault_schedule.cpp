@@ -1,32 +1,40 @@
 #include "app/fault_schedule.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <string_view>
 
 namespace refer::app {
 
 namespace {
 
-/// Parses one "idx@start+duration" entry; false on any malformation.
-bool parse_entry(const std::string& entry, FaultWindow& out) {
+/// The whole of `text` as one decimal number: from_chars takes no hex,
+/// no leading '+' and no whitespace, and out of range is an error.
+template <typename T>
+bool parse_exact(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Parses one "idx@start+duration" entry: an actuator index that fits an
+/// int, a finite start >= 0 and a finite duration > 0.
+bool parse_entry(std::string_view entry, FaultWindow& out) {
   const std::size_t at = entry.find('@');
-  const std::size_t plus = entry.find('+', at == std::string::npos ? 0 : at);
-  if (at == std::string::npos || plus == std::string::npos || at == 0 ||
-      plus <= at + 1 || plus + 1 >= entry.size()) {
+  const std::size_t plus = entry.find('+', at);  // npos when `at` is
+  if (plus == std::string_view::npos) return false;
+  int idx = 0;
+  double start = 0, dur = 0;
+  if (!parse_exact(entry.substr(0, at), idx) || idx < 0 ||
+      !parse_exact(entry.substr(at + 1, plus - at - 1), start) ||
+      !std::isfinite(start) || start < 0 ||
+      !parse_exact(entry.substr(plus + 1), dur) || !std::isfinite(dur) ||
+      dur <= 0) {
     return false;
   }
-  char* end = nullptr;
-  const std::string idx_s = entry.substr(0, at);
-  const std::string start_s = entry.substr(at + 1, plus - at - 1);
-  const std::string dur_s = entry.substr(plus + 1);
-  const long idx = std::strtol(idx_s.c_str(), &end, 10);
-  if (end != idx_s.c_str() + idx_s.size() || idx < 0) return false;
-  const double start = std::strtod(start_s.c_str(), &end);
-  if (end != start_s.c_str() + start_s.size() || start < 0) return false;
-  const double dur = std::strtod(dur_s.c_str(), &end);
-  if (end != dur_s.c_str() + dur_s.size() || dur <= 0) return false;
-  out.actuator_index = static_cast<int>(idx);
+  out.actuator_index = idx;
   out.start_rel_s = start;
   out.duration_s = dur;
   return true;
@@ -41,7 +49,8 @@ bool parse_fault_schedule(const std::string& text,
   while (pos < text.size()) {
     std::size_t semi = text.find(';', pos);
     if (semi == std::string::npos) semi = text.size();
-    const std::string entry = text.substr(pos, semi - pos);
+    const std::string_view entry =
+        std::string_view(text).substr(pos, semi - pos);
     // An empty segment ("a;;b") is a malformed schedule, not a no-op --
     // only the empty *string* means "no windows".
     FaultWindow window;

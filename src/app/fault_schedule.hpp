@@ -43,7 +43,8 @@ struct FaultWindow {
 
 /// Parses "idx@start+duration;..." (whitespace-free; empty string = no
 /// windows).  Returns false -- leaving `out` untouched -- on malformed
-/// entries, negative times, or a negative actuator index.
+/// entries: an index that is not a decimal int >= 0, a start that is not
+/// a finite decimal >= 0, or a duration that is not a finite decimal > 0.
 [[nodiscard]] bool parse_fault_schedule(const std::string& text,
                                         std::vector<FaultWindow>& out);
 

@@ -250,10 +250,11 @@ void DDear::route_from_member(NodeId src, PendingPtr msg) {
                       // Try a relay towards the head.
                       NodeId relay = -1;
                       double best = std::numeric_limits<double>::infinity();
+                      const Point head_at = world_->position(head);
                       world_->visit_reachable(src, [&](NodeId r) {
                         if (!world_->can_reach(r, head)) return;
-                        const double d = distance_sq(world_->position(r),
-                                                     world_->position(head));
+                        const double d =
+                            distance_sq(world_->position(r), head_at);
                         if (d < best) {
                           best = d;
                           relay = r;

@@ -168,16 +168,18 @@ void KautzOverlay::enter_overlay(NodeId at, int budget, PendingPtr msg) {
     return;
   }
   const Point goal = world_->position(actuator);
-  double best_progress = distance_sq(world_->position(at), goal);
+  const Point here = world_->position(at);
+  double best_progress = distance_sq(here, goal);
   world_->visit_reachable(at, [&](NodeId n) {
+    const Point p = world_->position(n);
     if (bindings_.contains(n) || world_->is_actuator(n)) {
-      const double d = distance_sq(world_->position(at), world_->position(n));
+      const double d = distance_sq(here, p);
       if (d < best_member) {
         best_member = d;
         member = n;
       }
     }
-    const double d_goal = distance_sq(world_->position(n), goal);
+    const double d_goal = distance_sq(p, goal);
     if (d_goal < best_progress) {
       best_progress = d_goal;
       closer = n;

@@ -30,4 +30,26 @@ bool all_digits_below(std::string_view s, int alphabet) noexcept {
   return true;
 }
 
+void json_escape_append(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (const char c : s) {
+    const auto byte = static_cast<unsigned char>(c);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (byte < 0x20) {
+          out += "\\u00";
+          out += kHex[byte >> 4];
+          out += kHex[byte & 0xf];
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
 }  // namespace refer

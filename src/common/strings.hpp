@@ -18,4 +18,10 @@ namespace refer {
 /// ('0'..'0'+alphabet-1).
 [[nodiscard]] bool all_digits_below(std::string_view s, int alphabet) noexcept;
 
+/// Appends `s` escaped for the inside of a JSON string literal: quote,
+/// backslash, \n, \r and \t by name, every other byte below 0x20 as
+/// \u00xx, all other bytes as they are.  The one escaper behind the
+/// results, repro and trace writers.
+void json_escape_append(std::string& out, std::string_view s);
+
 }  // namespace refer

@@ -103,18 +103,19 @@ void ReferRouter::enter_overlay(NodeId at, int budget, PacketPtr pkt) {
     return;
   }
   const Point goal = world_->position(actuator);
-  double best_progress = distance_sq(world_->position(at), goal);
+  const Point here = world_->position(at);
+  double best_progress = distance_sq(here, goal);
   world_->visit_reachable(at, [&](NodeId n) {
     const Role r = topology_->role(n);
-    const double d_member =
-        distance_sq(world_->position(at), world_->position(n));
+    const Point p = world_->position(n);
     if (r == Role::kActive || r == Role::kActuator) {
+      const double d_member = distance_sq(here, p);
       if (d_member < best_member) {
         best_member = d_member;
         member = n;
       }
     }
-    const double d_goal = distance_sq(world_->position(n), goal);
+    const double d_goal = distance_sq(p, goal);
     if (d_goal < best_progress) {
       best_progress = d_goal;
       closer = n;
@@ -494,11 +495,12 @@ void ReferRouter::transmit_arc(NodeId from, NodeId to, PacketPtr pkt,
         NodeId relay = -1;
         double best = std::numeric_limits<double>::infinity();
         if (world_->alive(from) && world_->alive(to)) {
+          const Point from_at = world_->position(from);
+          const Point to_at = world_->position(to);
           world_->visit_reachable(from, [&](NodeId r) {
             if (r == to || !world_->can_reach(r, to)) return;
-            const double d =
-                distance(world_->position(from), world_->position(r)) +
-                distance(world_->position(r), world_->position(to));
+            const Point p = world_->position(r);
+            const double d = distance(from_at, p) + distance(p, to_at);
             if (d < best) {
               best = d;
               relay = r;

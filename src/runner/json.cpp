@@ -4,33 +4,9 @@
 #include <cmath>
 #include <cstdio>
 
-namespace refer::runner {
+#include "common/strings.hpp"
 
-std::string JsonWriter::escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
+namespace refer::runner {
 
 void JsonWriter::prepare_value() {
   if (after_key_) {
@@ -76,14 +52,17 @@ void JsonWriter::key(std::string_view name) {
   assert(!stack_.empty() && stack_.back() == Frame::kObject && !after_key_);
   if (has_item_.back()) out_.push_back(',');
   has_item_.back() = true;
-  out_ += escape(name);
-  out_.push_back(':');
+  out_.push_back('"');
+  json_escape_append(out_, name);
+  out_ += "\":";
   after_key_ = true;
 }
 
 void JsonWriter::value(std::string_view s) {
   prepare_value();
-  out_ += escape(s);
+  out_.push_back('"');
+  json_escape_append(out_, s);
+  out_.push_back('"');
 }
 
 void JsonWriter::value(bool b) {

@@ -54,9 +54,6 @@ class JsonWriter {
     return stack_.empty() && !out_.empty();
   }
 
-  /// Escapes `s` as a JSON string literal including the quotes.
-  [[nodiscard]] static std::string escape(std::string_view s);
-
  private:
   void prepare_value();
 

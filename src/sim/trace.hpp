@@ -169,12 +169,6 @@ class Tracer {
 #endif
 };
 
-/// Escapes a string for embedding in a JSON string literal (quotes,
-/// backslashes, control characters).
-[[nodiscard]] std::string json_escape(std::string_view s);
-/// Same escaping, appended to `out` without allocating a temporary.
-void json_escape_append(std::string& out, std::string_view s);
-
 /// Writes records as JSON lines: one object per event, machine-parsable.
 /// Frame-level keys (t/event/from/to/bytes/bucket) are always present;
 /// routing-level keys (packet/reason/hop/alt/nominal_len/at/dst/next)

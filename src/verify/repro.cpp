@@ -9,7 +9,8 @@
 #include <string>
 #include <type_traits>
 
-#include "analysis/jsonl.hpp"
+#include "analysis/json_doc.hpp"
+#include "app/fault_schedule.hpp"
 #include "runner/json.hpp"
 
 namespace refer::verify {
@@ -27,8 +28,8 @@ namespace {
 
 /// Repro encoding of one Scenario field: JSON's own scalar for each
 /// type, the routing policy by name, and the seed as a decimal string --
-/// parse_flat_object reads numbers as doubles, which would drop seed
-/// bits past 2^53.
+/// the JSON reader keeps numbers as doubles, which would drop seed bits
+/// past 2^53.
 template <typename T>
 void write_field(runner::JsonWriter& w, const T& v) {
   w.value(v);
@@ -71,27 +72,24 @@ namespace {
 /// Pulls one typed field out of the parsed object; records an error and
 /// leaves `out` untouched when absent or ill-typed.
 struct FieldReader {
-  const analysis::JsonObject& obj;
+  const analysis::JsonNode& obj;
   std::string error;  // first problem seen; empty = all good
 
   void fail(const std::string& key, const char* what) {
     if (error.empty()) error = key + ": " + what;
   }
 
-  const analysis::JsonValue* find(const std::string& key) {
-    const auto it = obj.find(key);
-    if (it == obj.end()) {
-      fail(key, "missing");
-      return nullptr;
-    }
-    return &it->second;
+  const analysis::JsonNode* find(const std::string& key) {
+    const analysis::JsonNode* v = obj.find(key);
+    if (!v) fail(key, "missing");
+    return v;
   }
 
   /// Repro decoding, one overload per field type (the inverse of
   /// write_field above).
   void read(const std::string& key, double& out) {
     if (const auto* v = find(key)) {
-      if (v->kind != analysis::JsonValue::Kind::kNumber) {
+      if (v->kind != analysis::JsonNode::Kind::kNumber) {
         fail(key, "expected a number");
       } else {
         out = v->number;
@@ -117,7 +115,7 @@ struct FieldReader {
   void read(const std::string& key, std::size_t& out) { integer(key, out); }
   void read(const std::string& key, bool& out) {
     if (const auto* v = find(key)) {
-      if (v->kind != analysis::JsonValue::Kind::kBool) {
+      if (v->kind != analysis::JsonNode::Kind::kBool) {
         fail(key, "expected a bool");
       } else {
         out = v->boolean;
@@ -126,7 +124,7 @@ struct FieldReader {
   }
   void read(const std::string& key, std::string& out) {
     if (const auto* v = find(key)) {
-      if (v->kind != analysis::JsonValue::Kind::kString) {
+      if (v->kind != analysis::JsonNode::Kind::kString) {
         fail(key, "expected a string");
       } else {
         out = v->str;
@@ -162,8 +160,8 @@ std::optional<ReproCase> load_repro(const std::string& path) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const auto obj = analysis::parse_flat_object(buf.str());
-  if (!obj) {
+  const auto obj = analysis::parse_json_doc(buf.str());
+  if (!obj || !obj->is_flat_object()) {
     std::fprintf(stderr, "repro: %s is not a flat JSON object\n",
                  path.c_str());
     return std::nullopt;
@@ -186,6 +184,12 @@ std::optional<ReproCase> load_repro(const std::string& path) {
                           [&r](const char* key, auto&& field) {
                             r.read(key, field);
                           });
+  // The control loop replays whatever schedule parses; one it refuses
+  // would replay as "no actuator faults".
+  std::vector<app::FaultWindow> windows;
+  if (!app::parse_fault_schedule(repro.scenario.app_fault_schedule, windows)) {
+    r.fail("app_fault_schedule", "expected idx@start+duration entries");
+  }
   if (!r.error.empty()) {
     std::fprintf(stderr, "repro: %s: %s\n", path.c_str(), r.error.c_str());
     return std::nullopt;

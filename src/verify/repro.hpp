@@ -2,9 +2,10 @@
 // serialized flat so `referbench replay repro.json` re-executes it
 // bit-identically.
 //
-// The format is one flat JSON object (analysis::parse_flat_object's
-// subset: no nesting) holding the system kind, the violation summary
-// that produced it and every harness::for_each_field key.  The 64-bit
+// The format is one flat JSON object (scalar members only, read back
+// through analysis::parse_json_doc's strict grammar) holding the system
+// kind, the violation summary that produced it and every
+// harness::for_each_field key.  The 64-bit
 // seed is written as a *string* -- JSON numbers are doubles and would
 // silently lose seed bits past 2^53.
 #pragma once
@@ -38,8 +39,9 @@ struct ReproCase {
 bool write_repro(const std::string& path, const ReproCase& repro);
 
 /// Parses a repro.json back into a runnable case.  Returns nullopt (and
-/// prints the reason to stderr) on unreadable files, version mismatch,
-/// or missing / ill-typed fields.
+/// prints the reason to stderr) on unreadable or malformed files,
+/// version mismatch, missing / ill-typed fields, or an
+/// app_fault_schedule that app::parse_fault_schedule refuses.
 [[nodiscard]] std::optional<ReproCase> load_repro(const std::string& path);
 
 /// Summarizes violations for ReproCase::violation.

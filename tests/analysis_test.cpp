@@ -1,6 +1,6 @@
-// Tests for the offline trace analyzer: the flat JSONL parser, the
-// schema / chain / Theorem 3.8 audits on synthetic traces, and an
-// end-to-end run over a real REFER trace.
+// Tests for the offline analyzers: the one JSON reader and its strict
+// grammar, the schema / chain / Theorem 3.8 audits on synthetic traces,
+// an end-to-end run over a real REFER trace, and the timeline report.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "analysis/json_doc.hpp"
-#include "analysis/jsonl.hpp"
 #include "analysis/timeline_report.hpp"
 #include "analysis/trace_report.hpp"
+#include "common/strings.hpp"
 #include "harness/experiment.hpp"
 #include "refer/system.hpp"
 #include "runner/results_writer.hpp"
@@ -19,41 +19,6 @@
 
 namespace refer::analysis {
 namespace {
-
-TEST(JsonlParser, ParsesFlatObjects) {
-  const auto obj = parse_flat_object(
-      R"({"t":1.25,"event":"hop_forward","from":-1,"ok":true,"x":null,)"
-      R"("at":"a\"b\\c\n"})");
-  ASSERT_TRUE(obj.has_value());
-  EXPECT_EQ(obj->at("t").kind, JsonValue::Kind::kNumber);
-  EXPECT_DOUBLE_EQ(obj->at("t").number, 1.25);
-  EXPECT_EQ(obj->at("event").str, "hop_forward");
-  EXPECT_DOUBLE_EQ(obj->at("from").number, -1.0);
-  EXPECT_EQ(obj->at("ok").kind, JsonValue::Kind::kBool);
-  EXPECT_TRUE(obj->at("ok").boolean);
-  EXPECT_EQ(obj->at("x").kind, JsonValue::Kind::kNull);
-  EXPECT_EQ(obj->at("at").str, "a\"b\\c\n");
-}
-
-TEST(JsonlParser, ParsesUnicodeEscapesAndEmptyObject) {
-  const auto obj = parse_flat_object(R"({"s":"x\u0001y"})");
-  ASSERT_TRUE(obj.has_value());
-  EXPECT_EQ(obj->at("s").str, std::string("x\x01y"));
-  const auto empty = parse_flat_object("  { }  ");
-  ASSERT_TRUE(empty.has_value());
-  EXPECT_TRUE(empty->empty());
-}
-
-TEST(JsonlParser, RejectsNestedAndMalformed) {
-  EXPECT_FALSE(parse_flat_object(R"({"a":{"b":1}})").has_value());
-  EXPECT_FALSE(parse_flat_object(R"({"a":[1,2]})").has_value());
-  EXPECT_FALSE(parse_flat_object(R"({"a":1)").has_value());
-  EXPECT_FALSE(parse_flat_object(R"({"a" 1})").has_value());
-  EXPECT_FALSE(parse_flat_object(R"({"a":1} trailing)").has_value());
-  EXPECT_FALSE(parse_flat_object("not json").has_value());
-  EXPECT_FALSE(parse_flat_object(R"({"a":tru})").has_value());
-  EXPECT_FALSE(parse_flat_object(R"({"a":"unterminated)").has_value());
-}
 
 // --- Synthetic-trace audits.  K(2,3) facts used below: from at=012 to
 // dst=201 (overlap l=1) Theorem 3.8 yields successors 120 (shortest,
@@ -169,6 +134,32 @@ TEST(TraceReport, HeaderDegreeBeatsLabelInference) {
   TraceReportOptions opts;
   opts.degree = 4;
   EXPECT_EQ(analyze_trace(in2, opts).degree, 4);
+}
+
+TEST(TraceReport, RecordsOutsideTheGrammarAreParseErrors) {
+  // Each line would pass the schema audit if its numbers were read
+  // leniently: inf and hex are not JSON, and a record is a flat object.
+  std::istringstream in(
+      R"({"t":inf,"event":"broadcast","from":0,"to":-1,"bytes":0x20,)"
+      R"("bucket":0})"
+      "\n"
+      R"({"t":1e999,"event":"broadcast","from":0,"to":-1,"bytes":0,)"
+      R"("bucket":0})"
+      "\n"
+      R"({"t":1,"event":"broadcast","from":0,"to":-1,"bytes":0,"bucket":0,)"
+      R"("extra":{"nested":true}})"
+      "\n"
+      R"({"t":1,"t":2,"event":"broadcast","from":0,"to":-1,"bytes":0,)"
+      R"("bucket":0})"
+      "\n"
+      R"({"t":2,"event":"broadcast","from":0,"to":-1,"bytes":32,)"
+      R"("bucket":0})"
+      "\n");
+  const TraceReport r = analyze_trace(in);
+  EXPECT_EQ(r.lines, 5u);
+  EXPECT_EQ(r.parse_errors, 4u);
+  EXPECT_EQ(r.schema_errors, 0u);
+  EXPECT_EQ(r.events_by_type.at("broadcast"), 1u);
 }
 
 TEST(TraceReport, RejectsMalformedHeader) {
@@ -471,13 +462,118 @@ TEST(JsonDoc, ParsesNestedDocuments) {
   EXPECT_DOUBLE_EQ(arr->items[0].member_number("k", 0), 7.0);
 }
 
+TEST(JsonDoc, ParsesFlatTraceRecords) {
+  const auto obj = parse_json_doc(
+      R"({"t":1.25,"event":"hop_forward","from":-1,"ok":true,"x":null,)"
+      R"("at":"a\"b\\c\n"})");
+  ASSERT_TRUE(obj.has_value());
+  EXPECT_TRUE(obj->is_flat_object());
+  EXPECT_EQ(obj->find("t")->kind, JsonNode::Kind::kNumber);
+  EXPECT_DOUBLE_EQ(obj->member_number("t", 0), 1.25);
+  EXPECT_EQ(obj->member_string("event"), "hop_forward");
+  EXPECT_DOUBLE_EQ(obj->member_number("from", 0), -1.0);
+  EXPECT_EQ(obj->find("ok")->kind, JsonNode::Kind::kBool);
+  EXPECT_TRUE(obj->find("ok")->bool_or(false));
+  EXPECT_EQ(obj->find("x")->kind, JsonNode::Kind::kNull);
+  EXPECT_EQ(obj->member_string("at"), "a\"b\\c\n");
+  EXPECT_EQ(obj->member_string("t"), "");  // not a string
+}
+
+TEST(JsonDoc, ParsesUnicodeEscapesAndEmptyObject) {
+  const auto obj = parse_json_doc(R"({"s":"x\u0001y\u00e9\u000A\/"})");
+  ASSERT_TRUE(obj.has_value());
+  // ASCII code points decode to their byte, anything wider to '?'.
+  EXPECT_EQ(obj->member_string("s"), std::string("x\x01y?\n/"));
+  const auto empty = parse_json_doc("  { }  ");
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_TRUE(empty->is_flat_object());
+  EXPECT_TRUE(empty->members.empty());
+}
+
+TEST(JsonDoc, FlatObjectsRefuseNestedValues) {
+  for (const char* nested : {R"({"a":{"b":1}})", R"({"a":[1,2]})", "[1]"}) {
+    const auto doc = parse_json_doc(nested);
+    ASSERT_TRUE(doc.has_value()) << nested;
+    EXPECT_FALSE(doc->is_flat_object()) << nested;
+  }
+}
+
 TEST(JsonDoc, RejectsMalformed) {
-  EXPECT_FALSE(parse_json_doc("{").has_value());
-  EXPECT_FALSE(parse_json_doc(R"({"a":1} trailing)").has_value());
-  EXPECT_FALSE(parse_json_doc(R"({"a":})").has_value());
-  EXPECT_FALSE(parse_json_doc(R"([1,2,)").has_value());
-  EXPECT_FALSE(parse_json_doc("").has_value());
+  for (const char* bad :
+       {"{", R"({"a":1} trailing)", R"({"a":})", "[1,2,", "", R"({"a":1)",
+        R"({"a" 1})", "not json", R"({"a":tru})", R"({"a":"unterminated)",
+        "[1,]", R"({"a":1,})", R"({,"a":1})", R"({a:1})", "'a'"}) {
+    EXPECT_FALSE(parse_json_doc(bad).has_value()) << bad;
+  }
   EXPECT_TRUE(parse_json_doc("  [1, 2]  ").has_value());
+}
+
+TEST(JsonDoc, RejectsWhatNoWriterEmits) {
+  // Numbers: exact JSON syntax, and the value must be a finite double.
+  for (const char* number : {"inf", "-infinity", "nan", "NaN", "0x10", "1e999",
+                             "-1e999", "01", "-01", "1.", ".5", "+1", "-",
+                             "1e", "1e+", "1.e5", "--1", "1.5.2"}) {
+    EXPECT_FALSE(parse_json_doc(number).has_value()) << number;
+    EXPECT_FALSE(parse_json_doc(std::string(R"({"t":)") + number + "}")
+                     .has_value())
+        << number;
+  }
+  for (const char* number : {"0", "-0", "1e5", "1E+5", "2.5e-3", "-0.5",
+                             "4.9406564584124654e-324", "1.7976931348623157e308"}) {
+    EXPECT_TRUE(parse_json_doc(number).has_value()) << number;
+  }
+  // Strings: the eight escapes and \uXXXX only; no raw control byte.
+  for (const char* bad : {R"("\q")", R"("\x41")", R"("\u12")", R"("\u+123")",
+                          R"("\uzzzz")", "\"a\x01" "b\"", "\"tab\there\"",
+                          "\"line\nbreak\""}) {
+    EXPECT_FALSE(parse_json_doc(bad).has_value()) << bad;
+  }
+  // Objects: a key may appear once.
+  EXPECT_FALSE(parse_json_doc(R"({"a":1,"a":2})").has_value());
+  EXPECT_FALSE(parse_json_doc(R"({"x":{"a":1,"b":2,"a":3}})").has_value());
+  EXPECT_TRUE(parse_json_doc(R"({"a":{"a":1}})").has_value());
+  // Whitespace is space, tab, LF and CR only.
+  EXPECT_TRUE(parse_json_doc(" \t\r\n[ 1 ,\n2 ] \n").has_value());
+  EXPECT_FALSE(parse_json_doc("\v[1]").has_value());
+  EXPECT_FALSE(parse_json_doc("[1]\f").has_value());
+}
+
+TEST(JsonDoc, NestingIsCapped) {
+  const auto nest = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(parse_json_doc(nest(kMaxJsonDepth)).has_value());
+  EXPECT_FALSE(parse_json_doc(nest(kMaxJsonDepth + 1)).has_value());
+  std::string objects;
+  for (int i = 0; i <= kMaxJsonDepth; ++i) objects += R"({"a":)";
+  objects += "1" + std::string(kMaxJsonDepth + 1, '}');
+  EXPECT_FALSE(parse_json_doc(objects).has_value());
+  // A 300 KB run of '[' is refused at the cap, not by a stack overflow.
+  const std::string deep(300 * 1024, '[');
+  EXPECT_FALSE(parse_json_doc(deep).has_value());
+  EXPECT_FALSE(load_timeline_doc(deep).has_value());
+}
+
+TEST(JsonDoc, EscaperRoundTripsEveryOneAndTwoByteString) {
+  // Every string the writers can be handed, escaped by the one escaper
+  // and read back by the one reader, comes back byte for byte.
+  const auto round_trip = [](const std::string& s) {
+    std::string literal = "\"";
+    json_escape_append(literal, s);
+    literal += '"';
+    const auto doc = parse_json_doc(literal);
+    return doc && doc->kind == JsonNode::Kind::kString && doc->str == s;
+  };
+  int failures = 0;
+  for (int a = 0; a < 256; ++a) {
+    const std::string one(1, static_cast<char>(a));
+    if (!round_trip(one)) ++failures;
+    for (int b = 0; b < 256; ++b) {
+      if (!round_trip(one + static_cast<char>(b))) ++failures;
+    }
+  }
+  EXPECT_EQ(failures, 0);
 }
 
 // ------------------------------------------------- timeline detectors
@@ -688,6 +784,50 @@ TEST(TimelineReportArgsDeathTest, UsageErrorsExit2) {
               ::testing::ExitedWithCode(2), "unknown flag");
   EXPECT_EXIT((void)parse_report_args({"--strict"}),
               ::testing::ExitedWithCode(2), "no results file");
+}
+
+/// parse_trace_command's argv: "trace_report" followed by `args`.
+TraceCommand parse_trace_args(std::vector<std::string> args) {
+  args.insert(args.begin(), "trace_report");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return parse_trace_command(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(TraceReportArgs, ParsesFlagsAndFiles) {
+  const TraceCommand cmd = parse_trace_args(
+      {"--degree", "3", "--chains", "0", "--strict", "a.jsonl", "b.jsonl"});
+  EXPECT_TRUE(cmd.strict);
+  EXPECT_EQ(cmd.options.degree, 3);
+  EXPECT_EQ(cmd.options.max_chains, 0u);
+  EXPECT_EQ(cmd.files, (std::vector<std::string>{"a.jsonl", "b.jsonl"}));
+  const TraceCommand defaults = parse_trace_args({"t.jsonl"});
+  EXPECT_FALSE(defaults.strict);
+  EXPECT_EQ(defaults.options.degree, 0);
+  EXPECT_EQ(defaults.options.max_chains, 3u);
+}
+
+TEST(TraceReportArgsDeathTest, BadDegreeAndChainsExit2) {
+  // atoi used to read "3x" as 3 and "-1" chains as a huge count.
+  for (const char* raw : {"3x", "abc", "", "nan", "1", "0", "-2", "2.5"}) {
+    EXPECT_EXIT((void)parse_trace_args({"--degree", raw, "t.jsonl"}),
+                ::testing::ExitedWithCode(2), "--degree: ")
+        << raw;
+  }
+  for (const char* raw : {"-1", "3x", "abc", "", "1e3", "inf"}) {
+    EXPECT_EXIT((void)parse_trace_args({"--chains", raw, "t.jsonl"}),
+                ::testing::ExitedWithCode(2), "--chains: ")
+        << raw;
+  }
+}
+
+TEST(TraceReportArgsDeathTest, UsageErrorsExit2) {
+  EXPECT_EXIT((void)parse_trace_args({"--degree"}),
+              ::testing::ExitedWithCode(2), "requires a value");
+  EXPECT_EXIT((void)parse_trace_args({"--bogus", "t.jsonl"}),
+              ::testing::ExitedWithCode(2), "unknown flag");
+  EXPECT_EXIT((void)parse_trace_args({"--strict"}),
+              ::testing::ExitedWithCode(2), "no trace file");
 }
 
 }  // namespace

@@ -56,13 +56,29 @@ TEST(FaultSchedule, EmptyStringMeansNoWindows) {
 
 TEST(FaultSchedule, RejectsMalformedEntries) {
   for (const char* bad : {"0@30", "0+12", "@30+12", "0@30+12;;", "x@1+1",
-                          "0@-1+5", "-1@3+5", "0@3+0", "0@3+-2", "0@3+5junk"}) {
+                          "0@-1+5", "-1@3+5", "0@3+0", "0@3+-2", "0@3+5junk",
+                          // Not finite, not decimal, or past INT_MAX
+                          // (4294967296 used to wrap to actuator 0).
+                          "0@nan+1", "0@1+nan", "0@1+inf", "0@inf+1",
+                          "0@0x10+1", "0x1@1+1", "4294967296@1+2",
+                          "2147483648@1+2", "+1@1+1", "0@+1+1", " 0@1+1",
+                          "0@1e999+1"}) {
     std::vector<FaultWindow> windows{{7, 7, 7}};
     EXPECT_FALSE(parse_fault_schedule(bad, windows)) << bad;
     // Failure leaves the output untouched.
     ASSERT_EQ(windows.size(), 1u) << bad;
     EXPECT_EQ(windows[0].actuator_index, 7) << bad;
   }
+}
+
+TEST(FaultSchedule, AcceptsDecimalFormsAtTheLimits) {
+  std::vector<FaultWindow> windows;
+  ASSERT_TRUE(parse_fault_schedule("2147483647@0+1e-05;0@1.5e2+0.5", windows));
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_EQ(windows[0].actuator_index, 2147483647);
+  EXPECT_EQ(windows[0].start_rel_s, 0.0);
+  EXPECT_EQ(windows[0].duration_s, 1e-05);
+  EXPECT_EQ(windows[1].start_rel_s, 150.0);
 }
 
 TEST(FaultSchedule, MergeCoalescesOverlapsPerActuator) {

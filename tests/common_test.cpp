@@ -267,6 +267,25 @@ TEST(Strings, AllDigitsBelow) {
   EXPECT_FALSE(all_digits_below("01a0", 3));
 }
 
+std::string json_escape(std::string_view s) {
+  std::string out;
+  json_escape_append(out, s);
+  return out;
+}
+
+TEST(JsonEscape, HandlesQuotesBackslashesAndControlChars) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("a\nb\tc\r"), "a\\nb\\tc\\r");
+  EXPECT_EQ(json_escape(std::string("x\x01y")), "x\\u0001y");
+  EXPECT_EQ(json_escape("\b\f\x1f"), "\\u0008\\u000c\\u001f");
+  EXPECT_EQ(json_escape("/\x7f\xff"), "/\x7f\xff");  // passed through
+  std::string appended = "k:";
+  json_escape_append(appended, "\"");
+  EXPECT_EQ(appended, "k:\\\"");
+}
+
 TEST(Logging, LevelRoundTrip) {
   const LogLevel prev = log_level();
   set_log_level(LogLevel::kError);

@@ -581,14 +581,6 @@ TEST(CountingTraceSink, CountsEveryEventKindIncludingTheLast) {
   }
 }
 
-TEST(JsonEscape, HandlesQuotesBackslashesAndControlChars) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb\tc\r"), "a\\nb\\tc\\r");
-  EXPECT_EQ(json_escape(std::string("x\x01y")), "x\\u0001y");
-}
-
 TEST(JsonlTraceWriter, ThrowsWhenPathCannotBeOpened) {
   EXPECT_THROW(JsonlTraceWriter("/nonexistent-dir/trace.jsonl"),
                std::runtime_error);

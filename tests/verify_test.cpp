@@ -244,6 +244,32 @@ TEST(Repro, RejectsMissingAndMalformedFiles) {
   std::remove(path.c_str());
 }
 
+/// Writes `doc` with `key`'s value spelled as `value` and expects
+/// load_repro to refuse it, naming `reason` on stderr.
+void expect_refused(const std::string& doc, const std::string& key,
+                    const std::string& value, const std::string& reason) {
+  std::string bad = doc;
+  const std::size_t at = bad.find("\"" + key + "\":");
+  ASSERT_NE(at, std::string::npos) << key;
+  const std::size_t from = at + key.size() + 3;
+  bad.replace(from, bad.find(',', from) - from, value);
+  // One file per test: ctest runs the tests of this binary in parallel.
+  const std::string path = temp_path(
+      std::string("verify_refused_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".json");
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs(bad.c_str(), f);
+  std::fclose(f);
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(load_repro(path).has_value()) << bad;
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find(reason),
+            std::string::npos)
+      << key << "=" << value;
+  std::remove(path.c_str());
+}
+
 TEST(Repro, RejectsNumbersThatAreNotIntegersOfTheFieldsType) {
   // A repro file is outside input: an integral field must hold a whole
   // number its type can represent, never be cast from whatever double
@@ -251,28 +277,43 @@ TEST(Repro, RejectsNumbersThatAreNotIntegersOfTheFieldsType) {
   ReproCase repro;
   repro.scenario = ScenarioFuzzer::generate(7);
   const std::string good = to_repro_json(repro);
-  const std::string path = temp_path("verify_bad_integer.json");
   for (const auto& [key, value] :
        {std::pair<std::string, std::string>{"n_sensors", "1e300"},
         {"packet_bytes", "-1"},
         {"faulty_nodes", "2.5"}}) {
-    std::string doc = good;
-    const std::size_t at = doc.find("\"" + key + "\":");
-    ASSERT_NE(at, std::string::npos) << key;
-    const std::size_t from = at + key.size() + 3;
-    doc.replace(from, doc.find(',', from) - from, value);
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs(doc.c_str(), f);
-    std::fclose(f);
-    ::testing::internal::CaptureStderr();
-    EXPECT_FALSE(load_repro(path).has_value()) << doc;
-    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
-                  key + ": expected an integer"),
-              std::string::npos)
-        << key;
+    expect_refused(good, key, value, key + ": expected an integer");
   }
-  std::remove(path.c_str());
+}
+
+TEST(Repro, RejectsValuesOutsideTheJsonGrammar) {
+  // inf, hex and overflowing numbers are not JSON: each used to load
+  // (1e999 as infinity) and replay a scenario no writer produced.
+  ReproCase repro;
+  repro.scenario = ScenarioFuzzer::generate(7);
+  const std::string good = to_repro_json(repro);
+  for (const auto& [key, value] :
+       {std::pair<std::string, std::string>{"measure_s", "inf"},
+        {"warmup_s", "0x10"},
+        {"packets_per_second", "-infinity"},
+        {"measure_s", "1e999"},
+        {"measure_s", "nan"},
+        {"warmup_s", "+1"}}) {
+    expect_refused(good, key, value, "is not a flat JSON object");
+  }
+}
+
+TEST(Repro, RejectsAFaultScheduleTheControlLoopWouldDrop) {
+  // A schedule parse_fault_schedule refuses used to replay as "no
+  // actuator faults"; the repro is refused instead.
+  ReproCase repro;
+  repro.scenario = ScenarioFuzzer::generate(7);
+  const std::string good = to_repro_json(repro);
+  for (const char* schedule :
+       {"0@nan+1", "0@1+inf", "0@0x10+1", "4294967296@1+2", "0@5"}) {
+    expect_refused(good, "app_fault_schedule",
+                   std::string("\"") + schedule + "\"",
+                   "app_fault_schedule: expected idx@start+duration");
+  }
 }
 
 // ------------------------------------------------- Scenario field table

@@ -15,56 +15,17 @@
 // (parse/schema errors, route mismatches, path-length, chain/arc or
 // regular-walk violations), 2 on usage errors.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "analysis/trace_report.hpp"
 
-namespace {
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: trace_report [--degree D] [--chains N] [--strict] "
-      "<trace.jsonl>...\n"
-      "  --degree D   Kautz degree for the Theorem 3.8 audit "
-      "(default: trace header, else infer)\n"
-      "  --chains N   fail-over hop chains to print per file "
-      "(default: 3)\n"
-      "  --strict     exit 1 when any audit finds a violation\n");
-  return 2;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  refer::analysis::TraceReportOptions opts;
-  bool strict = false;
-  std::vector<std::string> files;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--strict") {
-      strict = true;
-    } else if (arg == "--degree" && i + 1 < argc) {
-      opts.degree = std::atoi(argv[++i]);
-      if (opts.degree < 2) return usage();
-    } else if (arg == "--chains" && i + 1 < argc) {
-      opts.max_chains = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else {
-      files.push_back(arg);
-    }
-  }
-  if (files.empty()) return usage();
+  const refer::analysis::TraceCommand cmd =
+      refer::analysis::parse_trace_command(argc, argv);
+  const refer::analysis::TraceReportOptions& opts = cmd.options;
 
   std::uint64_t total_violations = 0;
-  for (const std::string& file : files) {
+  for (const std::string& file : cmd.files) {
     std::printf("== %s ==\n", file.c_str());
     const refer::analysis::TraceReport report =
         refer::analysis::analyze_trace_file(file, opts);
@@ -79,7 +40,7 @@ int main(int argc, char** argv) {
   if (total_violations > 0) {
     std::fprintf(stderr, "trace_report: %llu total violations\n",
                  static_cast<unsigned long long>(total_violations));
-    if (strict) return 1;
+    if (cmd.strict) return 1;
   }
   return 0;
 }
